@@ -182,20 +182,19 @@ RULES: dict[str, Rule] = {
         Rule(
             "DD007",
             "no nondeterministic numpy ufuncs (np.abs/np.hypot/"
-            "np.divide) reachable from lane-op code in "
-            "repro.dd.backends.*",
-            "the batched kernels' parity contract requires bit-for-bit "
-            "agreement with CPython scalar arithmetic; these ufuncs use "
-            "different algorithms in the last ulp — resolution-aware, "
-            "so aliased imports and helper indirection are caught",
+            "np.divide) reachable from repro.dd.backends.*",
+            "the arena's numpy mirrors and gathers must not change a bit "
+            "of the reference/arena parity; these ufuncs differ from "
+            "CPython scalar arithmetic in the last ulp — resolution-"
+            "aware, so aliased imports and helper indirection are caught",
         ),
         Rule(
             "DD008",
-            "no native complex128 array multiply/divide in lane-op "
-            "code (decompose into float64 .real/.imag lanes)",
+            "no native complex128 array multiply/divide in "
+            "repro.dd.backends.* (gather via .tolist() first)",
             "numpy may FMA-contract complex products, diverging from "
-            "CPython's complex arithmetic; the ulp contract "
-            "(docs/BACKENDS.md) requires the decomposed lane kernels",
+            "CPython's complex arithmetic; float math on gathered "
+            "weights runs on exact Python complexes (docs/BACKENDS.md)",
         ),
         Rule(
             "DD009",

@@ -1,16 +1,17 @@
 """Float-determinism passes: DD007 (banned ufuncs) and DD008 (complex ops).
 
-The batched kernels' parity contract (docs/BACKENDS.md, "The ulp
-contract") requires every lane operation to be bit-for-bit identical to
-the scalar CPython arithmetic it replaces.  ``np.abs``/``np.hypot`` use
-a different (and platform-varying) magnitude algorithm than CPython's
-``abs(complex)``, ``np.divide`` differs from CPython's complex division,
-and native ``complex128`` array multiplies may FMA-contract.  PR 7
-enforced this with a substring scan over one module's source; these
-passes replace that with real resolution: any spelling of a banned
-ufunc (aliased import, ``from numpy import hypot as h``, helper
-function indirection) is caught anywhere in code *reachable from*
-``repro.dd.backends.*`` through the project call graph.
+The arena backend keeps numpy mirrors of its node rows for whole-diagram
+sweeps and gathers (docs/BACKENDS.md, "The ulp rule").  numpy there is
+for integer bookkeeping and bulk transport only: gathered weights go
+through ``.tolist()`` and all float math runs on exact Python complexes,
+so the reference/arena parity stays bit-for-bit.  ``np.abs``/``np.hypot``
+use a different (and platform-varying) magnitude algorithm than
+CPython's ``abs(complex)``, ``np.divide`` differs from CPython's complex
+division, and native ``complex128`` array multiplies may FMA-contract.
+These passes catch any spelling of such an operation (aliased import,
+``from numpy import hypot as h``, helper function indirection) anywhere
+in code *reachable from* ``repro.dd.backends.*`` through the project
+call graph.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from ..ddlint import Violation
 
 __all__ = ["check_determinism"]
 
-#: The lane-op package every reachability search starts from.
-_LANE_PACKAGE = "repro.dd.backends"
+#: The backend package every reachability search starts from.
+_BACKEND_PACKAGE = "repro.dd.backends"
 
 #: numpy ufuncs whose results are not bit-identical to CPython floats.
 _BANNED_UFUNCS: dict[str, str] = {
     "numpy.abs": "abs(complex) in CPython uses a different magnitude "
-    "algorithm; decompose via _cmag2_lanes/math.hypot per element",
+    "algorithm; gather via .tolist() and use abs() per element",
     "numpy.absolute": "alias of numpy.abs; same divergence",
     "numpy.hypot": "numpy's hypot is not bit-identical to math.hypot "
     "across platforms",
@@ -58,7 +59,7 @@ def check_determinism(project: ProjectIndex) -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# DD007 — banned ufuncs reachable from lane-op code
+# DD007 — banned ufuncs reachable from backend code
 # ----------------------------------------------------------------------
 
 
@@ -74,11 +75,11 @@ def _check_banned_ufuncs(project: ProjectIndex) -> list[Violation]:
     findings: list[Violation] = []
     reported: set[tuple[str, int]] = set()
     entries = sorted(
-        project.scopes_in_package(_LANE_PACKAGE),
+        project.scopes_in_package(_BACKEND_PACKAGE),
         key=lambda scope: scope.qualname,
     )
     for entry in entries:
-        # Depth-first walk of the call graph rooted at the lane-op
+        # Depth-first walk of the call graph rooted at the backend
         # entry, carrying the call chain for the dataflow trace.
         stack: list[
             tuple[FunctionScope, tuple[tuple[FunctionScope, CallSite], ...]]
@@ -112,7 +113,7 @@ def _ufunc_violation(
 ) -> Violation:
     dotted = site.dotted or "<ufunc>"
     trace = [
-        f"{entry.path}:{_span(entry.node)[0]} lane-op entry "
+        f"{entry.path}:{_span(entry.node)[0]} backend entry "
         f"{entry.display_name} (module {entry.module})"
     ]
     for caller, hop in chain:
@@ -130,7 +131,7 @@ def _ufunc_violation(
         col=site.node.col_offset,
         message=(
             f"banned nondeterministic ufunc {dotted}() reachable from "
-            f"lane-op code ({entry.display_name}): "
+            f"backend code ({entry.display_name}): "
             f"{_BANNED_UFUNCS[dotted]}"
         ),
         trace=tuple(trace),
@@ -139,13 +140,13 @@ def _ufunc_violation(
 
 
 # ----------------------------------------------------------------------
-# DD008 — native complex multiplies/divides in lane-op modules
+# DD008 — native complex multiplies/divides in backend modules
 # ----------------------------------------------------------------------
 
 
 def _check_complex_ops(project: ProjectIndex) -> list[Violation]:
     findings: list[Violation] = []
-    for scope in project.scopes_in_package(_LANE_PACKAGE):
+    for scope in project.scopes_in_package(_BACKEND_PACKAGE):
         for node in iter_scope_nodes(scope):
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Mult, ast.Div)
@@ -182,9 +183,9 @@ def _complex_violation(
         line=node.lineno,
         col=node.col_offset,
         message=(
-            f"native complex128 array {symbol} in lane-op code; numpy "
+            f"native complex128 array {symbol} in backend code; numpy "
             "may FMA-contract and is not bit-equal to CPython — "
-            "decompose into float64 .real/.imag lanes (_cmul_lanes)"
+            "gather via .tolist() and multiply Python complexes"
         ),
         trace=(
             f"{scope.path}:{node.lineno} {scope.display_name}: "
@@ -214,9 +215,9 @@ def _complex_ufunc_call(
                 line=node.lineno,
                 col=func.col_offset,
                 message=(
-                    "numpy.multiply on a complex-dtype array in lane-op "
-                    "code; decompose into float64 lanes (_cmul_lanes) "
-                    "to keep the ulp contract"
+                    "numpy.multiply on a complex-dtype array in backend "
+                    "code; gather via .tolist() and multiply Python "
+                    "complexes to keep the ulp rule"
                 ),
                 trace=(
                     f"{scope.path}:{node.lineno} {scope.display_name}: "

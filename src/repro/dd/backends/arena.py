@@ -54,7 +54,6 @@ result can change.  Two deliberate non-goals:
 
 from __future__ import annotations
 
-import os
 from math import sqrt
 from typing import Any
 
@@ -63,7 +62,6 @@ import numpy as np
 from .. import ctable
 from ..ctable import snap_boxed as _snap_boxed
 from ..node import MEdge, MNode, VEdge, VNode, zero_medge, zero_vedge
-from . import kernels
 from .base import DEFAULT_CACHE_LIMIT, DDBackend
 
 #: Initial numpy mirror capacity (rows); doubled on exhaustion.
@@ -82,44 +80,14 @@ _PAIR_SHIFT = 1 << 32
 _ZERO_V: VEdge = zero_vedge()
 _ZERO_M: MEdge = zero_medge()
 
-#: Environment toggle for the level-synchronous batched kernels
-#: (docs/BACKENDS.md).  Any of "1"/"true"/"on" routes the default
-#: ``multiply_mv`` dispatch through them; the default is *off* because
-#: measurement shows the batch bookkeeping loses to the scalar kernels
-#: at every workload scale we bench (docs/BACKENDS.md records the
-#: numbers).  The batched path stays fully supported — it is always
-#: reachable through :meth:`ArenaBackend.multiply_mv_batched` and is
-#: pinned bit-for-bit against the scalar kernels by the kernel-parity
-#: CI job.
-BATCHED_ENV_VAR = "REPRO_DD_BATCHED"
-
-#: Gate applications below this root level run the scalar kernel: tiny
-#: diagrams cannot amortize the batch bookkeeping.
-_MIN_BATCH_LEVEL = 1
-
 
 class ArenaBackend(DDBackend):
     """Integer-id arena engine with vectorized sweeps."""
 
     name = "arena"
 
-    def __init__(
-        self,
-        cache_limit: int = DEFAULT_CACHE_LIMIT,
-        batched: bool | None = None,
-    ) -> None:
+    def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
         super().__init__(cache_limit)
-        # Batched-kernel dispatch (repro.dd.backends.kernels): explicit
-        # argument wins, then REPRO_DD_BATCHED, default off.  Purely a
-        # performance switch — both paths are bit-identical and the
-        # differential/parity suites exercise both.
-        if batched is None:
-            batched = os.environ.get(BATCHED_ENV_VAR, "0").strip().lower() in (
-                "1",
-                "true",
-                "on",
-            )
-        self.batched = batched
         # Vector-node arena.  Registration appends a row (Python lists,
         # cheap); the numpy mirrors below are bulk-synced on demand.
         self._v_nodes: list[VNode] = []
@@ -422,61 +390,6 @@ class ArenaBackend(DDBackend):
     def multiply_mv(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
         """Apply a matrix edge to a state edge (matrix–vector product).
 
-        Dispatches to the level-synchronous batched kernel
-        (:mod:`repro.dd.backends.kernels`) when it is enabled and
-        applicable — both operand roots owned by this arena and the
-        diagram deep enough to amortize the batch plan — and to the
-        scalar recursion otherwise.  Both paths are bit-for-bit
-        identical (the batch verifies its own reorder safety and falls
-        back to a scalar replay when it cannot guarantee it).
-        """
-        if self.batched and level >= _MIN_BATCH_LEVEL:
-            wm, m = me
-            wv, v = ve
-            if wm == 0.0 or wv == 0.0:  # ddlint: ignore[DD002]
-                return _ZERO_V
-            m_nodes = self._m_nodes
-            v_nodes = self._v_nodes
-            mi = m.index  # type: ignore[union-attr]
-            vi = v.index  # type: ignore[union-attr]
-            if (
-                0 <= mi < len(m_nodes)
-                and m_nodes[mi] is m
-                and 0 <= vi < len(v_nodes)
-                and v_nodes[vi] is v
-            ):
-                return kernels.batched_multiply_mv(self, me, ve, level)
-        return self._multiply_mv_scalar(me, ve, level)
-
-    def multiply_mv_batched(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Force the batched kernel regardless of the ``batched`` toggle.
-
-        Used by the kernel-parity harness to pin scalar-vs-batched
-        bit-equality on one arena instance; inapplicable inputs (zero
-        operands, terminal levels, foreign nodes) still route to the
-        scalar kernel, exactly like the dispatcher.
-        """
-        wm, m = me
-        wv, v = ve
-        if wm == 0.0 or wv == 0.0:  # ddlint: ignore[DD002]
-            return _ZERO_V
-        if level >= _MIN_BATCH_LEVEL:
-            m_nodes = self._m_nodes
-            v_nodes = self._v_nodes
-            mi = m.index  # type: ignore[union-attr]
-            vi = v.index  # type: ignore[union-attr]
-            if (
-                0 <= mi < len(m_nodes)
-                and m_nodes[mi] is m
-                and 0 <= vi < len(v_nodes)
-                and v_nodes[vi] is v
-            ):
-                return kernels.batched_multiply_mv(self, me, ve, level)
-        return self._multiply_mv_scalar(me, ve, level)
-
-    def _multiply_mv_scalar(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Scalar depth-first ``multiply_mv`` (the semantic ground truth).
-
         Zero-operand products and additions short-circuit at the call
         site (same comparisons the callees perform first; no float
         operation is added, removed, or reordered).
@@ -502,7 +415,7 @@ class ArenaBackend(DDBackend):
         m00, m01, m10, m11 = m.edges  # type: ignore[union-attr]
         v0, v1 = v.edges  # type: ignore[union-attr]
         sub = level - 1
-        mv = self._multiply_mv_scalar
+        mv = self.multiply_mv
         v0w = v0[0]
         v1w = v1[0]
         p0 = _ZERO_V if m00[0] == 0.0 or v0w == 0.0 else mv(m00, v0, sub)

@@ -58,6 +58,23 @@ class TestCorpus:
 
 
 class TestDD007Resolution:
+    @pytest.mark.parametrize(
+        "imports, call",
+        [
+            ("import numpy as np", "np.abs(w, w)"),
+            ("import numpy as np", "np.absolute(w, w)"),
+            ("import numpy as np", "np.hypot(w, w)"),
+            ("import numpy as np", "np.divide(w, w)"),
+            # An aliased from-import names no ``np.<ufunc>`` at the call
+            # site; import resolution still sees the banned ufunc.
+            ("from numpy import hypot as h", "h(w, w)"),
+        ],
+        ids=["abs", "absolute", "hypot", "divide", "from-import-alias"],
+    )
+    def test_banned_ufunc_is_flagged(self, imports, call):
+        source = f"{imports}\ndef norm(w: list) -> object:\n    return {call}\n"
+        assert "DD007" in codes(source, "src/repro/dd/backends/k.py")
+
     def test_local_alias_is_resolved(self):
         source = (
             "import numpy as np\n"
@@ -110,8 +127,8 @@ class TestDD007Resolution:
 
 class TestDD008Resolution:
     def test_real_imag_views_are_float_lanes(self):
-        # The exact kernels.py shape: complex128 arrays built for
-        # transport, but every arithmetic op runs on float64 views.
+        # Complex128 arrays built for transport, with every arithmetic
+        # op on float64 ``.real`` / ``.imag`` views, are not flagged.
         source = (
             "import numpy as np\n"
             "def mul(a: list, b: list) -> object:\n"
