@@ -86,7 +86,7 @@ def run_workload(
     simulator = DDSimulator(package)
     # Flush memoized arithmetic so a run cannot coast on the compute-cache
     # entries of a previous run over the same circuit (the unique tables
-    # stay — structure sharing is inherent to the representation).
+    # keep only nodes something outside the caches still references).
     simulator.package.clear_caches()
     policy = strategy if strategy is not None else NoApproximation()
     try:

@@ -51,6 +51,12 @@ DEFAULT_SMOKE_WORKLOADS: Sequence[dict] = (
 #: Default relative tolerance band of the regression gate.
 DEFAULT_TOLERANCE = 0.25
 
+#: Committed smoke baseline of each backend, relative to the repo root.
+SMOKE_BASELINES = {
+    "reference": "benchmarks/baselines/BENCH_smoke.json",
+    "arena": "benchmarks/baselines/BENCH_smoke_arena.json",
+}
+
 
 def calibration_seconds(repeats: int = 3) -> float:
     """Time the fixed calibration kernel; return the best of ``repeats``.
@@ -221,9 +227,14 @@ def compare_snapshots(
     base_backend = baseline.get("backend")
     current_backend = current.get("backend")
     if base_backend and current_backend and base_backend != current_backend:
+        own_baseline = SMOKE_BASELINES.get(
+            current_backend, f"a baseline recorded on {current_backend!r}"
+        )
         violations.append(
             f"backend mismatch: current snapshot ran on "
-            f"{current_backend!r} but baseline is for {base_backend!r}"
+            f"{current_backend!r} but baseline is for {base_backend!r}; "
+            f"rerun with --backend {base_backend}, or gate against "
+            f"{own_baseline}"
         )
     current_rows = {_key(row): row for row in current.get("workloads", [])}
     for base_row in baseline.get("workloads", []):

@@ -48,8 +48,8 @@ Examples::
     repro-sim lint && repro-sim lint --list-rules
     repro-sim trace record builtin:qsup_2x2_8_0 -o trace.jsonl
     repro-sim trace summary trace.jsonl
-    repro-sim bench --out BENCH_smoke.json \
-        --baseline benchmarks/baselines/BENCH_smoke.json
+    repro-sim bench --backend arena --out BENCH_smoke.json \
+        --baseline benchmarks/baselines/BENCH_smoke_arena.json
     repro-sim analyze builtin:qsup_3x3_12_0 --marginal 0,1,2
     repro-sim shor 1157 --base 8 --semiclassical
     repro-sim equiv before.qasm after.qasm
@@ -1566,7 +1566,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=BACKEND_NAMES,
             default=None,
             help="DD engine backend (default: REPRO_DD_BACKEND or "
-            "'reference'; see docs/BACKENDS.md)",
+            "'arena'; 'reference' is the differential oracle; see "
+            "docs/BACKENDS.md)",
         )
 
     run = sub.add_parser("run", help="simulate a QASM file or builtin")

@@ -110,10 +110,14 @@ def semiclassical_shor_run(
     control = work_bits
     num_qubits = work_bits + 1
     total_bits = layout.counting_bits
+    backend = pkg.backend
 
     def apply(operation: Operation, state: StateDD) -> StateDD:
         medge = operation_to_medge(operation, num_qubits, pkg)
         edge = pkg.multiply_mv(medge, state.edge, num_qubits - 1)
+        if backend.compact_pending:
+            # Safe point: no kernel is on the stack between gates.
+            backend.compact()
         return StateDD(edge, num_qubits, pkg)
 
     hadamard = Operation("h", (control,))

@@ -512,6 +512,7 @@ class DDSimulator:
         # Resolved once; the per-gate cost of a disarmed fault framework
         # is this local's ``is None`` check.
         injector = get_injector()
+        backend = self.package.backend
         if recorder is None:
             recorder = get_recorder()
         obs = recorder if recorder.enabled else None
@@ -585,6 +586,9 @@ class DDSimulator:
                     medge, state.edge, circuit.num_qubits - 1
                 )
             state = StateDD(edge, circuit.num_qubits, self.package)
+            if backend.compact_pending:
+                # Safe point: no kernel is on the stack between gates.
+                backend.compact()
             if sanitizer is not None:
                 sanitizer.check_after_operation(
                     state, op_index, operation.gate

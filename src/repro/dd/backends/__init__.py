@@ -2,11 +2,13 @@
 
 Two backends are registered (see docs/BACKENDS.md):
 
+* ``arena`` — the default engine: integer-id arena storage with numpy
+  mirrors and vectorized sweeps (:mod:`repro.dd.backends.arena`);
+  imported lazily so the numpy dependency is only paid when the arena
+  is actually built.
 * ``reference`` — the original hash-consed object engine
-  (:mod:`repro.dd.backends.reference`); importable without numpy.
-* ``arena`` — integer-id arena storage with numpy mirrors and
-  vectorized sweeps (:mod:`repro.dd.backends.arena`); imported lazily
-  so the numpy dependency is only paid when the arena is requested.
+  (:mod:`repro.dd.backends.reference`), kept as the differential oracle
+  the arena is tested against; importable without numpy.
 
 Selection precedence, strongest first:
 
@@ -14,7 +16,7 @@ Selection precedence, strongest first:
 2. The process-wide override set by :func:`set_backend_override`
    (the CLI ``--backend`` flag lands here; forked workers inherit it).
 3. The ``REPRO_DD_BACKEND`` environment variable.
-4. The default: ``reference``.
+4. The default: ``arena``.
 
 Backend identity is *observability metadata only*: it is recorded in
 result stats and obs counters but deliberately excluded from the
@@ -90,7 +92,7 @@ def default_backend_name(environ: dict[str, str] | None = None) -> str:
     """Resolve the backend used when construction passes none explicitly.
 
     Precedence: :func:`set_backend_override` > ``REPRO_DD_BACKEND`` >
-    ``"reference"``.
+    ``"arena"``.
 
     Raises:
         ValueError: When the environment variable names an unknown
@@ -102,7 +104,7 @@ def default_backend_name(environ: dict[str, str] | None = None) -> str:
     from_env = env.get(ENV_VAR, "").strip()
     if from_env:
         return normalize_backend_name(from_env)
-    return "reference"
+    return "arena"
 
 
 def create_backend(
@@ -111,7 +113,7 @@ def create_backend(
     """Instantiate a backend by name (None = resolved default).
 
     The arena module is imported lazily so ``import repro.dd`` never
-    pulls in numpy on the reference path.
+    pulls in numpy, and an explicit ``reference`` never loads it.
 
     Raises:
         ValueError: For an unknown backend name.

@@ -1,19 +1,22 @@
 """The arena backend: integer-id node storage with numpy mirrors.
 
 Same semantics as the reference backend, different storage.  Every node
-is assigned a dense integer id (``node.index``) into append-only arena
-rows that mirror its level, child ids, and edge weights.  The hot data
-structures are rebuilt around those ids:
+is assigned a dense integer id (``node.index``, its *slot*) into arena
+arrays that mirror its level, child slots, and edge weights.  A vector
+node also gets a *serial* (``node.serial``), an integer that names it in
+table and cache keys; slots move when the arena compacts, serials never
+do (for matrix nodes, which are never freed, the slot serves both
+roles).  The hot data structures are rebuilt around those integers:
 
 * **Unique tables** are plain dicts keyed on flat integer tuples
-  ``(level, re_bucket, im_bucket, child_id, ...)`` with the weight
+  ``(level, re_bucket, im_bucket, child_serial, ...)`` with the weight
   quantization of :func:`repro.dd.ctable.weight_key` inlined
   (``round(component * inv_tolerance)``) — no nested tuples, no weak
   references, no per-lookup Python-level ``WeakValueDictionary``
   machinery.
 * **Compute caches** are dicts keyed on small integer tuples (vadd/madd:
   ``(id1, id2, ratio_buckets)``) or single packed integers (mv/mm/inner:
-  ``id_a * 2**32 + id_b``), wholesale-flushed exactly like the
+  ``id_a * 2**40 + id_b``), wholesale-flushed exactly like the
   reference caches.
 * **Whole-diagram sweeps** run on numpy mirrors of the arena rows:
   reachability is a vectorized frontier walk over the child-id array
@@ -23,9 +26,9 @@ structures are rebuilt around those ids:
 
 Registration is deliberately cheap: interning a node only appends to
 Python lists (the mirror *rows*).  The numpy mirror arrays are synced
-lazily — :meth:`ArenaBackend._sync_v_mirror` bulk-converts the unsynced
-tail right before a sweep, gather, or audit needs them — so the gate
-kernels never pay per-node numpy scalar writes.
+lazily — :meth:`ArenaBackend._sync_v_mirror` bulk-converts the buffered
+rows right before a sweep, gather, or audit needs them, then empties the
+buffer — so the gate kernels never pay per-node numpy scalar writes.
 
 Edge *handles* are still real :class:`~repro.dd.node.VNode` /
 :class:`~repro.dd.node.MNode` objects, so every consumer that traverses
@@ -40,21 +43,26 @@ inlined bucketing computes the same integers as
 hit/miss sequences coincide.  The kernels additionally inline the
 *zero-operand* shortcuts of their callees (the exact comparisons the
 callee would perform first) — branches, not arithmetic, so no float
-result can change.  Two deliberate non-goals:
+result can change.  Vectorized *float* math is confined to places where
+it provably cannot change a bit: ``np.abs`` on complex128 uses a
+different hypot than CPython's ``abs`` (1-ulp divergence on roughly a
+third of inputs), so magnitude math always happens on exact Python
+complexes gathered via ``.tolist()``.  See docs/BACKENDS.md.
 
-* the arena never frees nodes (``_v_nodes`` / ``_m_nodes`` hold strong
-  references), trading memory for interning speed — equivalent to a
-  reference run in which no node is ever garbage collected;
-* vectorized *float* math is confined to places where it provably
-  cannot change a bit: ``np.abs`` on complex128 uses a different hypot
-  than CPython's ``abs`` (1-ulp divergence on roughly a third of
-  inputs), so magnitude math always happens on exact Python complexes
-  gathered via ``.tolist()``.  See docs/BACKENDS.md.
+Node lifetime.  ``_v_nodes`` / ``_m_nodes`` hold strong references, so
+between compute-cache flushes no node is freed.  A flush (the moment
+the reference's weak tables let cache-only nodes go) sets
+``compact_pending``; the simulator then calls :meth:`ArenaBackend.compact`
+between two gates, which frees every vector node nothing outside the
+arena still references and gives the survivors dense slots.  Keys name
+nodes by serial, so they survive it unchanged.  Matrix nodes are never
+freed: gate diagrams are small and the gate memo keeps them anyway.
 """
 
 from __future__ import annotations
 
 from math import sqrt
+from sys import getrefcount
 from typing import Any
 
 import numpy as np
@@ -67,10 +75,12 @@ from .base import DEFAULT_CACHE_LIMIT, DDBackend
 #: Initial numpy mirror capacity (rows); doubled on exhaustion.
 _INITIAL_CAPACITY = 1 << 10
 
-#: Packing base for two-id cache keys.  Arena ids are dense counters and
-#: stay far below 2**32 (the arrays would not fit in memory otherwise),
-#: so ``a * _PAIR_SHIFT + b`` is collision-free.
-_PAIR_SHIFT = 1 << 32
+#: Packing base for two-integer cache keys.  Matrix slots and vector
+#: serials count interned nodes and stay below 2**40 (a trillion
+#: internings), so ``a * _PAIR_SHIFT + b`` is collision-free.
+_PAIR_BITS = 40
+_PAIR_SHIFT = 1 << _PAIR_BITS
+_PAIR_MASK = _PAIR_SHIFT - 1
 
 # Shared zero edges returned by the kernels' annihilation shortcuts.
 # Value-identical to fresh zero_vedge()/zero_medge() tuples (tuples are
@@ -89,18 +99,26 @@ class ArenaBackend(DDBackend):
     def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
         super().__init__(cache_limit)
         # Vector-node arena.  Registration appends a row (Python lists,
-        # cheap); the numpy mirrors below are bulk-synced on demand.
+        # cheap); the numpy mirrors below are bulk-synced on demand, which
+        # empties the rows: they only buffer nodes since the last sync.
         self._v_nodes: list[VNode] = []
         self._v_row_level: list[int] = []
         self._v_row_child: list[tuple[int, int]] = []
         self._v_row_weight: list[tuple[complex, complex]] = []
-        # Numpy mirrors of the rows above, valid up to ``_v_synced``.
+        # Numpy mirrors of every node, valid up to ``_v_synced``.
         self._v_level = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
         self._v_child = np.full((_INITIAL_CAPACITY, 2), -1, dtype=np.int64)
         self._v_weight = np.zeros((_INITIAL_CAPACITY, 2), dtype=np.complex128)
         self._v_stamp = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        # Serial of each slot, ascending (slots keep creation order).
+        self._v_serial = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._v_synced = 0
         self._visit = 0
+        # Vector nodes freed so far: a node interned since the last
+        # compaction has serial == slot + _v_freed.
+        self._v_freed = 0
+        #: Number of :meth:`compact` passes that ran (observability).
+        self.compactions = 0
         # Matrix-node arena (4-wide), same layout.
         self._m_nodes: list[MNode] = []
         self._m_row_level: list[int] = []
@@ -110,9 +128,10 @@ class ArenaBackend(DDBackend):
         self._m_child = np.full((_INITIAL_CAPACITY, 4), -1, dtype=np.int64)
         self._m_weight = np.zeros((_INITIAL_CAPACITY, 4), dtype=np.complex128)
         self._m_synced = 0
-        # node_count memo keyed by root id.  Safe because diagrams are
-        # immutable after interning and the arena never frees nodes, so
-        # a root's reachable-set size can never change; the simulator
+        # node_count memo keyed by root slot.  Safe because diagrams are
+        # immutable after interning and slots are only reassigned by
+        # compact(), which clears the memo, so a root's reachable-set
+        # size can never change under a cached slot; the simulator
         # asks for the same root's count more than once per gate
         # (stats tracking plus strategy hooks).
         self._vcount_cache: dict[int, int] = {}
@@ -143,7 +162,7 @@ class ArenaBackend(DDBackend):
     # ------------------------------------------------------------------
 
     def _sync_v_mirror(self) -> None:
-        """Bulk-convert unsynced vector rows into the numpy mirrors."""
+        """Move the unsynced vector rows into the numpy mirrors."""
         count = len(self._v_nodes)
         start = self._v_synced
         if start == count:
@@ -164,13 +183,22 @@ class ArenaBackend(DDBackend):
             stamp = np.zeros(capacity, dtype=np.int64)
             stamp[:start] = self._v_stamp[:start]
             self._v_stamp = stamp
-        self._v_level[start:count] = self._v_row_level[start:count]
-        self._v_child[start:count] = self._v_row_child[start:count]
-        self._v_weight[start:count] = self._v_row_weight[start:count]
+            serial = np.zeros(capacity, dtype=np.int64)
+            serial[:start] = self._v_serial[:start]
+            self._v_serial = serial
+        self._v_serial[start:count] = np.arange(
+            start + self._v_freed, count + self._v_freed
+        )
+        self._v_level[start:count] = self._v_row_level
+        self._v_row_level.clear()
+        self._v_child[start:count] = self._v_row_child
+        self._v_row_child.clear()
+        self._v_weight[start:count] = self._v_row_weight
+        self._v_row_weight.clear()
         self._v_synced = count
 
     def _sync_m_mirror(self) -> None:
-        """Bulk-convert unsynced matrix rows into the numpy mirrors."""
+        """Move the unsynced matrix rows into the numpy mirrors."""
         count = len(self._m_nodes)
         start = self._m_synced
         if start == count:
@@ -188,9 +216,12 @@ class ArenaBackend(DDBackend):
             weight = np.zeros((capacity, 4), dtype=np.complex128)
             weight[:start] = self._m_weight[:start]
             self._m_weight = weight
-        self._m_level[start:count] = self._m_row_level[start:count]
-        self._m_child[start:count] = self._m_row_child[start:count]
-        self._m_weight[start:count] = self._m_row_weight[start:count]
+        self._m_level[start:count] = self._m_row_level
+        self._m_row_level.clear()
+        self._m_child[start:count] = self._m_row_child
+        self._m_row_child.clear()
+        self._m_weight[start:count] = self._m_row_weight
+        self._m_row_weight.clear()
         self._m_synced = count
 
     # ------------------------------------------------------------------
@@ -226,16 +257,14 @@ class ArenaBackend(DDBackend):
         w1n = _snap_boxed(w1 / top_weight, tol)
 
         inv = ctable._inv_tolerance
-        i0 = -1 if n0 is None else n0.index
-        i1 = -1 if n1 is None else n1.index
         key = (
             level,
             round(w0n.real * inv),
             round(w0n.imag * inv),
-            i0,
+            -1 if n0 is None else n0.serial,
             round(w1n.real * inv),
             round(w1n.imag * inv),
-            i1,
+            -1 if n1 is None else n1.serial,
         )
         vtable = self._vtable
         node = vtable.get(key)
@@ -244,10 +273,16 @@ class ArenaBackend(DDBackend):
             # append the mirror row; the numpy mirrors sync lazily.
             node = VNode(level, ((w0n, n0), (w1n, n1)))
             nodes = self._v_nodes
-            node.index = len(nodes)
+            node.index = slot = len(nodes)
+            freed = self._v_freed
+            # Until a node is freed the serial equals the slot; sharing
+            # the int object then saves one allocation per node.
+            node.serial = slot + freed if freed else slot
             nodes.append(node)
             self._v_row_level.append(level)
-            self._v_row_child.append((i0, i1))
+            self._v_row_child.append(
+                (-1 if n0 is None else n0.index, -1 if n1 is None else n1.index)
+            )
             self._v_row_weight.append((w0n, w1n))
             vtable[key] = node
             self.stats["vnodes_created"] += 1
@@ -348,8 +383,8 @@ class ArenaBackend(DDBackend):
         ratio = w2 / w1
         inv = ctable._inv_tolerance
         key = (
-            n1.index,  # type: ignore[union-attr]
-            n2.index,  # type: ignore[union-attr]
+            n1.serial,  # type: ignore[union-attr]
+            n2.serial,  # type: ignore[union-attr]
             round(ratio.real * inv),
             round(ratio.imag * inv),
         )
@@ -401,7 +436,7 @@ class ArenaBackend(DDBackend):
         if level < 0:
             return (wm * wv, None)
 
-        key = m.index * _PAIR_SHIFT + v.index  # type: ignore[union-attr]
+        key = m.index * _PAIR_SHIFT + v.serial  # type: ignore[union-attr]
         cache = self._mv_cache
         cached = cache.get(key)
         if cached is not None:
@@ -446,7 +481,7 @@ class ArenaBackend(DDBackend):
     ) -> complex:
         if level < 0:
             return complex(1.0)
-        key = n1.index * _PAIR_SHIFT + n2.index  # type: ignore[union-attr]
+        key = n1.serial * _PAIR_SHIFT + n2.serial  # type: ignore[union-attr]
         cache = self._inner_cache
         cached = cache.get(key)
         if cached is not None:
@@ -738,6 +773,86 @@ class ArenaBackend(DDBackend):
         return contributions
 
     # ------------------------------------------------------------------
+    # Node reclamation
+    # ------------------------------------------------------------------
+
+    def compact(self) -> None:
+        """Free dead vector nodes and give the survivors dense slots.
+
+        Runs at a safe point after a compute-cache flush (see
+        :meth:`DDBackend.compact`), and decides survival the way the
+        reference's weak unique table does:
+
+        1. Pin the operand nodes named by surviving ``vadd`` / ``mv`` /
+           ``inner`` keys — the reference's object keys keep those
+           alive, the arena's integer keys do not.
+        2. Walk the slots downwards and drop the arena's own references
+           (the unique-table entry and the ``_v_nodes`` slot) to every
+           unpinned node nothing else holds; CPython refcounting frees
+           it and its edges.  A node is interned after its children, so
+           every dead parent is gone before its children are looked at.
+        3. Give the survivors dense slots in their old order, compact
+           the numpy mirrors in place and drop the ``node_count`` memo.
+           Table and cache keys name nodes by serial, which never
+           changes, so they stay as they are.
+        """
+        self.compact_pending = False
+        self._sync_v_mirror()
+        nodes = self._v_nodes
+        count = len(nodes)
+        named = [serial for key in self._vadd_cache for serial in key[:2]]
+        named.extend(key & _PAIR_MASK for key in self._mv_cache)
+        for key in self._inner_cache:
+            named.append(key >> _PAIR_BITS)
+            named.append(key & _PAIR_MASK)
+        pin_slots = np.searchsorted(self._v_serial[:count], named)
+        pinned = np.zeros(count + 1, dtype=bool)
+        pinned[pin_slots] = True
+        pinned_at = pinned.tobytes()
+        del named, pin_slots, pinned
+
+        vtable = self._vtable
+        table_keys: list[Any] = [None] * count
+        for key, slot in zip(
+            vtable, [node.index for node in vtable.values()], strict=True
+        ):
+            table_keys[slot] = key
+        # What getrefcount reads for a node held only by its slot and its
+        # table entry: a list element's reading, plus the table.
+        probe = [object()]
+        unheld = getrefcount(probe[0]) + 1
+        for slot in range(count - 1, -1, -1):
+            if not pinned_at[slot] and getrefcount(nodes[slot]) == unheld:
+                del vtable[table_keys[slot]]
+                nodes[slot] = None  # type: ignore[call-overload]
+        del table_keys
+
+        old_slots = [slot for slot, node in enumerate(nodes) if node is not None]
+        survivors: list[VNode] = [nodes[slot] for slot in old_slots]
+        for new, survivor in enumerate(survivors):
+            survivor.index = new
+        self._v_nodes = survivors
+        kept = len(survivors)
+        rows = np.array(old_slots, dtype=np.int64)
+        # The spare trailing entry maps the terminal slot -1 to -1.
+        remap = np.full(count + 1, -1, dtype=np.int64)
+        remap[rows] = np.arange(kept)
+        # The mirrors compact in place, one array at a time (the visit
+        # stamps only need to stay below the next stamp, so they stay).
+        self._v_level[:kept] = self._v_level[rows]
+        self._v_child[:kept] = remap[self._v_child[rows]]
+        self._v_weight[:kept] = self._v_weight[rows]
+        self._v_serial[:kept] = self._v_serial[rows]
+        self._v_synced = kept
+        self._v_freed += count - kept
+        self._vcount_cache.clear()
+        self.compactions += 1
+        recorder = self._recorder
+        if recorder is not None and recorder.enabled:
+            recorder.count("dd.arena.compactions")
+            recorder.event("arena_compaction", nodes_before=count, nodes_after=kept)
+
+    # ------------------------------------------------------------------
     # Integrity auditing (DDSan)
     # ------------------------------------------------------------------
 
@@ -748,10 +863,10 @@ class ArenaBackend(DDBackend):
             node.level,
             round(w0.real * inv),
             round(w0.imag * inv),
-            -1 if n0 is None else n0.index,
+            -1 if n0 is None else n0.serial,
             round(w1.real * inv),
             round(w1.imag * inv),
-            -1 if n1 is None else n1.index,
+            -1 if n1 is None else n1.serial,
         )
 
     def _mnode_table_key(self, node: MNode) -> tuple[int, ...]:
@@ -808,6 +923,15 @@ class ArenaBackend(DDBackend):
                             f"{kind} arena weight mirror out of sync at "
                             f"slot {index} edge {k}"
                         )
+
+        serials = self._v_serial[: len(self._v_nodes)]
+        for index, node in enumerate(self._v_nodes):
+            if node.index == index and int(serials[index]) != node.serial:
+                problems.append(
+                    f"vector arena serial mirror out of sync at slot {index}"
+                )
+        if (np.diff(serials) <= 0).any():
+            problems.append("vector arena serials are not ascending")
 
         # Unique tables: stale entries and hash-consing duplicates.
         for table_name, table, key_of in (

@@ -96,6 +96,9 @@ class DDBackend(ABC):
         #: identical edge, so memoization changes no computed value and
         #: inserts nothing into the compute caches.
         self.gate_cache: dict[Hashable, MEdge] | None = None
+        #: Set by every compute-cache flush; the simulator calls
+        #: :meth:`compact` at its next safe point when it is set.
+        self.compact_pending = False
 
     # ------------------------------------------------------------------
     # Node construction (normalizing, hash-consing) — backend-specific
@@ -332,6 +335,7 @@ class DDBackend(ABC):
             entries = len(cache)
             cache.clear()
             self.stats["cache_flushes"] += 1
+            self.compact_pending = True
             self._cache_counts[name][2] += 1
             recorder = self._recorder
             if recorder is not None and recorder.enabled:
@@ -345,11 +349,27 @@ class DDBackend(ABC):
         cache[key] = value
 
     def clear_caches(self) -> None:
-        """Flush all compute caches (unique tables are left intact)."""
+        """Flush all compute caches, then :meth:`compact` right away.
+
+        Callers never run inside a kernel, so this is itself a safe
+        point: nodes only the caches kept alive are released at once.
+        """
         for cache in self._compute_caches.values():
             cache.clear()
         if self.gate_cache is not None:
             self.gate_cache.clear()
+        self.compact()
+
+    def compact(self) -> None:
+        """Release dead nodes after a compute-cache flush.
+
+        Called only between top-level operations, never from inside a
+        kernel, whose frames still hold operands and half-built results.
+        The default does nothing, which is right for storage that frees
+        nodes by itself (the reference's weak unique tables); the arena
+        overrides it.
+        """
+        self.compact_pending = False
 
     def unique_table_sizes(self) -> dict[str, int]:
         """Return the current live-node counts of both unique tables."""

@@ -47,14 +47,18 @@ class VNode:
             and positive.
     """
 
-    __slots__ = ("level", "edges", "index", "__weakref__")
+    __slots__ = ("level", "edges", "index", "serial", "__weakref__")
 
     def __init__(self, level: int, edges: tuple[VEdge, VEdge]):
         self.level = level
         self.edges = edges
-        # Arena slot id; -1 outside an arena backend.  Only
-        # :mod:`repro.dd.backends.arena` assigns it.
+        # Arena slot id and arena serial; -1 outside an arena backend.
+        # Only :mod:`repro.dd.backends.arena` assigns them: the slot
+        # indexes its arrays and moves when the arena compacts, the
+        # serial names the node in its table and cache keys and never
+        # changes.
         self.index = -1
+        self.serial = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         (w0, n0), (w1, n1) = self.edges

@@ -11,10 +11,11 @@ paper builds on.
 Two engines are available (selection precedence and contract in
 docs/BACKENDS.md):
 
+* ``arena`` — the default: integer-id arena storage with numpy mirrors
+  and vectorized sweeps (:mod:`repro.dd.backends.arena`), which frees
+  dead vector nodes between gates after a compute-cache flush;
 * ``reference`` — hash-consed Python objects in weak unique tables
-  (:mod:`repro.dd.backends.reference`), the semantic baseline;
-* ``arena`` — integer-id arena storage with numpy mirrors and
-  vectorized sweeps (:mod:`repro.dd.backends.arena`).
+  (:mod:`repro.dd.backends.reference`), the differential oracle.
 
 Canonicity guarantees — enforced identically by every backend:
 
@@ -78,10 +79,11 @@ class Package:
         cache_limit: Maximum number of entries per compute cache.  When a
             cache exceeds this bound it is flushed wholesale (the classic
             DD-package strategy; correctness is unaffected).
-        backend: Backend name (``"reference"`` / ``"arena"``), an already
+        backend: Backend name (``"arena"`` / ``"reference"``), an already
             constructed :class:`~repro.dd.backends.DDBackend` instance,
-            or None to use the resolved default (CLI/env override aware —
-            see :mod:`repro.dd.backends`).
+            or None to use the resolved default (``arena`` unless the
+            CLI or ``REPRO_DD_BACKEND`` overrides it — see
+            :mod:`repro.dd.backends`).
     """
 
     # Hot operations are rebound per instance (zero facade indirection);
@@ -156,7 +158,7 @@ class Package:
     # ------------------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Flush all compute caches (unique tables are left intact)."""
+        """Flush all compute caches and release the nodes only they held."""
         self._backend.clear_caches()
 
     def unique_table_sizes(self) -> dict[str, int]:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
+import pytest
 
 from repro.analysis import Sanitizer
 from repro.core import MemoryDrivenStrategy, simulate
@@ -11,7 +14,9 @@ from repro.dd.node import VNode
 from repro.dd.package import Package
 from repro.dd.validate import collect_backend_violations
 from repro.dd.vector import StateDD
-from repro.service.jobs import build_builtin_circuit
+from repro.service import engine
+from repro.service.jobs import JobSpec, build_builtin_circuit
+from repro.service.store import ArtifactStore
 
 
 def _workload_package() -> Package:
@@ -111,3 +116,35 @@ class TestForeignNodeFallback:
         foreign = VNode(0, ((complex(1.0), None), (complex(0.0), None)))
         contributions = package.norm_contributions((complex(1.0), foreign))
         assert set(contributions) == {foreign}
+
+
+class TestJobRelease:
+    """The arena holds its nodes strongly, so a finished job must drop
+    its whole backend — otherwise a long-lived serve worker or job
+    process would keep every job's diagrams."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            JobSpec(circuit="builtin:shor_15_2", shots=10, seed=1),
+            JobSpec(circuit="builtin:qsup_2x2_4_0", max_seconds=0.0),
+        ],
+        ids=["completed", "timeout"],
+    )
+    def test_backend_is_dead_after_execute_job(self, spec, tmp_path, monkeypatch):
+        backends = []
+
+        class TrackedPackage(Package):
+            def __init__(self, *args, **kwargs):
+                # Pinned, so the check also runs where the environment
+                # selects the reference engine.
+                kwargs.setdefault("backend", "arena")
+                super().__init__(*args, **kwargs)
+                backends.append(weakref.ref(self.backend))
+
+        monkeypatch.setattr(engine, "Package", TrackedPackage)
+        result = engine.execute_job(spec, ArtifactStore(str(tmp_path / "s")))
+        assert result.stats["dd_backend"] == "arena"
+        assert backends
+        # Reference counting alone must free it: no gc.collect() here.
+        assert [ref() for ref in backends] == [None] * len(backends)

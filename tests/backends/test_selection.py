@@ -24,6 +24,9 @@ from repro.dd.package import (
     reset_default_package,
     set_default_backend,
 )
+from repro.service.engine import execute_job
+from repro.service.jobs import JobSpec
+from repro.service.store import ArtifactStore
 
 
 @pytest.fixture(autouse=True)
@@ -54,14 +57,14 @@ class TestNames:
 
 
 class TestPrecedence:
-    def test_default_is_reference(self):
-        assert default_backend_name() == "reference"
-        assert Package().backend_name == "reference"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "arena")
+    def test_default_is_arena(self):
         assert default_backend_name() == "arena"
         assert Package().backend_name == "arena"
+
+    def test_env_var_selects_backend(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert default_backend_name() == "reference"
+        assert Package().backend_name == "reference"
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "arena")
@@ -80,20 +83,37 @@ class TestPrecedence:
 
 class TestDefaultPackage:
     def test_default_package_respects_override(self):
-        assert default_package().backend_name == "reference"
-        set_default_backend("arena")
-        # The singleton is rebuilt on first use after the choice changes
-        # (satellite 3: the pre-existing default must not shadow it).
         assert default_package().backend_name == "arena"
-        set_default_backend(None)
+        set_default_backend("reference")
+        # The singleton is rebuilt on first use after the choice changes
+        # (the pre-existing default must not shadow it).
         assert default_package().backend_name == "reference"
+        set_default_backend(None)
+        assert default_package().backend_name == "arena"
 
     def test_default_package_respects_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "arena")
-        assert default_package().backend_name == "arena"
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert default_package().backend_name == "reference"
 
     def test_singleton_is_stable_without_changes(self):
         assert default_package() is default_package()
+
+
+class TestJobDefault:
+    """Jobs pick the engine up from the same resolution as packages."""
+
+    def _run(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        result = execute_job(JobSpec(circuit="builtin:shor_15_2"), store)
+        assert result.status == "completed"
+        return result
+
+    def test_bare_job_runs_on_arena(self, tmp_path):
+        assert self._run(tmp_path).stats["dd_backend"] == "arena"
+
+    def test_env_still_selects_the_oracle(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert self._run(tmp_path).stats["dd_backend"] == "reference"
 
 
 class TestLazyArenaImport:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.bench import (
 )
 from repro.bench.snapshot import (
     DELTA_FORMAT,
+    SMOKE_BASELINES,
     SNAPSHOT_FORMAT,
     calibration_seconds,
 )
@@ -109,6 +111,22 @@ class TestCompareSnapshots:
 
     def test_default_tolerance_is_25_percent(self):
         assert DEFAULT_TOLERANCE == 0.25
+
+    def test_backend_mismatch_names_the_fix(self):
+        base = make_snapshot()
+        base["backend"] = "reference"
+        current = copy.deepcopy(base)
+        current["backend"] = "arena"
+        (message,) = compare_snapshots(current, base)
+        assert message.startswith("backend mismatch")
+        assert "--backend reference" in message
+        assert SMOKE_BASELINES["arena"] in message
+
+    @pytest.mark.parametrize("backend", sorted(SMOKE_BASELINES))
+    def test_smoke_baseline_declares_its_backend(self, backend):
+        root = Path(__file__).resolve().parents[2]
+        baseline = load_snapshot(str(root / SMOKE_BASELINES[backend]))
+        assert baseline["backend"] == backend
 
 
 class TestDiffSnapshots:
