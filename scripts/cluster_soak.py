@@ -175,8 +175,10 @@ def main() -> int:
     cluster.start()
     supervisor = threading.Thread(target=cluster.serve_forever, daemon=True)
     supervisor.start()
+    # The socket timeout must outlast the 180 s wait bound below, or
+    # a slow but successful wait reads as a lost job.
     client = ServeClient(
-        socket_path=cluster.router.socket_path, timeout=120.0
+        socket_path=cluster.router.socket_path, timeout=210.0
     )
 
     try:

@@ -95,7 +95,9 @@ def _start_daemon(args, workdir: str, log_path: str) -> tuple:
         stdout=log_handle,
         stderr=subprocess.STDOUT,
     )
-    client = ServeClient(socket_path=socket_path, timeout=120.0)
+    # The socket timeout must outlast the 300 s wait bound below, or a
+    # slow but successful wait reads as a lost job.
+    client = ServeClient(socket_path=socket_path, timeout=330.0)
     deadline = time.monotonic() + 30.0
     while True:
         try:

@@ -111,12 +111,14 @@ class FunctionScope:
 
 @dataclass
 class ClassInfo:
-    """A project class: its methods and inferred instance attributes."""
+    """A project class: its methods and inferred instance attributes
+    (inherited ones from project base classes included)."""
 
     qualname: str
     module: str
     methods: dict[str, str] = field(default_factory=dict)
     attrs: dict[str, Origin] = field(default_factory=dict)
+    bases: list[ast.expr] = field(default_factory=list)
 
 
 @dataclass
@@ -320,7 +322,9 @@ class ProjectIndex:
             self._index_function(mod, stmt, parent, class_info)
         elif isinstance(stmt, ast.ClassDef):
             qualname = f"{mod.module}:{stmt.name}"
-            info = ClassInfo(qualname=qualname, module=mod.module)
+            info = ClassInfo(
+                qualname=qualname, module=mod.module, bases=list(stmt.bases)
+            )
             self.classes[qualname] = info
             if class_info is None:
                 mod.top_classes[stmt.name] = qualname
@@ -448,6 +452,30 @@ class ProjectIndex:
                     origin = self.resolve_expr(value, scope)
                     if origin is not None and attr not in info.attrs:
                         info.attrs[attr] = origin
+        for info in list(self.classes.values()):
+            self._inherit(info, {info.qualname})
+
+    def _inherit(self, info: ClassInfo, seen: set[str]) -> None:
+        """Fold project base classes' methods and attributes into
+        ``info``; the subclass's own definitions win.  Without this a
+        ``with self._lock:`` in a subclass whose base creates the lock
+        would not register as a lock region."""
+        module_scope = self.functions.get(f"{info.module}:<module>")
+        if module_scope is None:
+            return
+        for expr in info.bases:
+            origin = self.resolve_expr(expr, module_scope)
+            if origin is None or origin.kind != "project_class":
+                continue
+            base = self.classes.get(origin.ref)
+            if base is None or base.qualname in seen:
+                continue
+            seen.add(base.qualname)
+            self._inherit(base, seen)
+            for name, target in base.methods.items():
+                info.methods.setdefault(name, target)
+            for name, attr in base.attrs.items():
+                info.attrs.setdefault(name, attr)
 
     # ------------------------------------------------------------------
     # Expression resolution

@@ -5,6 +5,10 @@ path, applying the paper's fidelity-as-budget stance (Lemma 1) as a
 *serving policy* — under load the daemon degrades accuracy before it
 degrades availability:
 
+* :mod:`repro.serve.base` — :class:`LineService`: the skeleton both
+  services share (listener, lifecycle, drain flag, parked jobs, op
+  table, shared admission checks) and :class:`Submission`, the one
+  parsed submission document.
 * :mod:`repro.serve.daemon` — :class:`SimDaemon`: admission, the
   control loop, deadlines, drain.
 * :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: forked
@@ -26,7 +30,9 @@ modules on the same protocol:
   state machine + rendezvous placement.
 * :mod:`repro.serve.router` — :class:`ClusterRouter`: the front door;
   heartbeat supervision, failover re-admission, work stealing, tenant
-  quotas and rate limits.
+  quotas and rate limits.  A cluster job's ``(shard_id,
+  shard_job_id)`` pair is its only ownership record; placements fence
+  the store with epoch-numbered leases.
 * :mod:`repro.serve.cluster` — :class:`ServeCluster`: shard daemons as
   subprocesses over one shared store, router in-process.
 
@@ -34,6 +40,7 @@ See ``docs/SERVE.md`` for the serving model, deadline semantics, and
 the cluster topology.
 """
 
+from .base import LineService, Submission
 from .breaker import CircuitBreaker
 from .client import ServeClient, ServeError
 from .cluster import ServeCluster
@@ -53,6 +60,7 @@ __all__ = [
     "DEGRADABLE_KINDS",
     "FidelityLadder",
     "JobRecord",
+    "LineService",
     "Membership",
     "ProtocolError",
     "QueueItem",
@@ -61,6 +69,7 @@ __all__ = [
     "ServeError",
     "ShardInfo",
     "SimDaemon",
+    "Submission",
     "TieredSpec",
     "WorkerEvent",
     "WorkerSupervisor",

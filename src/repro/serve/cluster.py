@@ -24,7 +24,6 @@ import sys
 import tempfile
 import time
 
-from ..service.lease import DEFAULT_LEASE_TTL
 from ..service.replication import open_store
 from ..service.store import ArtifactStore
 from .client import ServeClient
@@ -46,7 +45,7 @@ class ServeCluster:
         shard_args: Extra CLI arguments appended to every shard's
             ``repro-sim serve`` command line (e.g. ``--fault-plan``).
         quotas / rate_limits / fail_threshold / steal_threshold /
-            steal_batch / lease_ttl / scrub_interval / tick_interval:
+            steal_batch / scrub_interval / tick_interval:
             Router knobs (see
             :class:`~repro.serve.router.ClusterRouter`).
         startup_timeout: Seconds to wait for every shard to answer its
@@ -69,7 +68,6 @@ class ServeCluster:
         fail_threshold: int = 3,
         steal_threshold: int = 4,
         steal_batch: int = 2,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         scrub_interval: float | None = None,
         tick_interval: float = 0.1,
         startup_timeout: float = 30.0,
@@ -106,7 +104,6 @@ class ServeCluster:
             rate_limits=rate_limits,
             steal_threshold=steal_threshold,
             steal_batch=steal_batch,
-            lease_ttl=lease_ttl,
             scrub_interval=scrub_interval,
             socket_path=os.path.join(self.socket_dir, "router.sock"),
             tick_interval=tick_interval,

@@ -1,16 +1,20 @@
 """The simulation daemon: request path, control loop, drain.
 
-``SimDaemon`` wires the serving pieces together around the existing
-service layer (:func:`repro.service.engine.execute_job` inside
-supervised workers, :class:`repro.service.store.ArtifactStore` for
-artifacts and checkpoints):
+``SimDaemon`` is a :class:`~repro.serve.base.LineService` (which owns
+the listener, lifecycle, drain flag, parked-job I/O and the shared
+admission checks) wired around the existing service layer
+(:func:`repro.service.engine.execute_job` inside supervised workers,
+:class:`repro.service.store.ArtifactStore` for artifacts and
+checkpoints):
 
 * **Admission** (socket handler threads, under the state lock):
   draining → reject; queue full → explicit SHED with a ``retry_after``
   estimate; breaker open for the spec → fast rejection; otherwise the
   fidelity ladder picks the tier for the current queue utilization,
   possibly rewriting the spec to a lower ``f_final``, and the job
-  enters the bounded priority queue.
+  enters the bounded priority queue.  The queue bound applies to new
+  admissions only: a job that was already accepted and lost its
+  worker always re-enters it.
 * **The tick** (one control-loop thread): pump worker results, replace
   dead/wedged workers and requeue-or-fail their lost jobs, hard-kill
   jobs past their hard deadline, dispatch queued jobs to idle workers,
@@ -22,8 +26,8 @@ artifacts and checkpoints):
   SIGKILL + requeue-or-fail — the backstop for workers too wedged to
   answer the soft signal.
 * **Drain** (SIGTERM/SIGINT or the ``drain`` op): stop admitting,
-  cancel in-flight jobs cooperatively (they checkpoint), persist the
-  still-queued jobs to ``<store>/serve/drained-queue.json`` (reloaded
+  cancel in-flight jobs cooperatively (they checkpoint), park the
+  still-queued jobs in ``<store>/serve/drained-queue.json`` (reloaded
   and re-admitted on the next start), and exit once nothing is
   running.  No accepted job is ever silently lost.
 
@@ -36,28 +40,17 @@ not be durably persisted.
 
 from __future__ import annotations
 
-import os
-import socketserver
-import sys
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ..faults.errors import PERMANENT
 from ..obs import get_recorder
 from ..service.engine import JobResult
-from ..service.jobs import JobSpec
-from ..service.replication import open_store
 from ..service.store import ArtifactStore
+from .base import LineService, Submission
 from .breaker import CircuitBreaker
 from .degrade import FidelityLadder
-from .protocol import (
-    ProtocolError,
-    error_response,
-    ok_response,
-    read_message,
-    write_message,
-)
+from .protocol import error_response, ok_response
 from .queue import AdmissionQueue, QueueItem
 from .supervisor import WorkerSupervisor
 
@@ -72,23 +65,15 @@ FINAL_STATES = frozenset(
     {"completed", "timeout", "deadline", "drained", "error", "stolen"}
 )
 
-#: Tenant recorded for submissions that carry no ``tenant`` field.
-DEFAULT_TENANT = "default"
 
-
-@dataclass
-class JobRecord:
+@dataclass(kw_only=True)
+class JobRecord(Submission):
     """Daemon-side lifecycle of one accepted job."""
 
     job_id: str
-    spec: JobSpec
-    tenant: str = DEFAULT_TENANT
-    priority: int = 0
     tier: int = 0
     f_final_cap: float | None = None
     degraded: bool = False
-    soft_timeout: float | None = None
-    hard_timeout: float | None = None
     status: str = "queued"
     attempts: int = 0
     submitted_at: float = 0.0
@@ -140,65 +125,7 @@ class JobRecord:
         return document
 
 
-class _StreamHandler(socketserver.StreamRequestHandler):
-    """One connection: JSON-lines request/response until EOF."""
-
-    def handle(self) -> None:
-        daemon = self.server.daemon  # type: ignore[attr-defined]
-        while True:
-            try:
-                message = read_message(self.rfile)
-            except ProtocolError as error:
-                write_message(self.wfile, error_response(str(error)))
-                return
-            if message is None:
-                return
-            try:
-                response = daemon.handle_request(message)
-            except Exception as error:  # noqa: BLE001 - reported on wire
-                response = error_response(
-                    f"internal: {type(error).__name__}: {error}"
-                )
-            try:
-                write_message(self.wfile, response)
-            except (BrokenPipeError, ConnectionResetError):
-                return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-if hasattr(socketserver, "ThreadingUnixStreamServer"):
-
-    class _UnixServer(socketserver.ThreadingUnixStreamServer):
-        daemon_threads = True
-
-
-def build_line_server(
-    owner, socket_path: str | None, host: str, port: int
-) -> tuple:
-    """Create the threading JSON-lines listener for ``owner``.
-
-    ``owner`` is any object with a ``handle_request(dict) -> dict``
-    method — the single daemon and the cluster router share this server
-    (and hence the exact wire behavior).  Returns ``(server, address)``
-    where address is the socket path or the bound ``(host, port)``.
-    """
-    if socket_path is not None:
-        if os.path.exists(socket_path):
-            os.unlink(socket_path)
-        server = _UnixServer(socket_path, _StreamHandler)
-        address: tuple[str, int] | str = socket_path
-    else:
-        server = _TCPServer((host, port), _StreamHandler)
-        address = server.server_address[:2]
-    server.daemon = owner  # type: ignore[attr-defined]
-    return server, address
-
-
-class SimDaemon:
+class SimDaemon(LineService):
     """Persistent simulation service over one artifact store.
 
     Args:
@@ -216,12 +143,11 @@ class SimDaemon:
             file so shards sharing one store never clobber each other,
             and is stamped into ping/metrics/jobs responses.  Empty
             for a standalone daemon (the pre-cluster file name).
-        socket_path: Unix socket to listen on (preferred).
-        host / port: TCP fallback when ``socket_path`` is None
-            (``port=0`` picks a free port; see :attr:`address`).
-        tick_interval: Control-loop period in seconds.
-        log: Writable text stream for daemon log lines (stderr default).
+        socket_path / host / port / tick_interval / log: See
+            :class:`~repro.serve.base.LineService`.
     """
+
+    kind = "serve"
 
     def __init__(
         self,
@@ -240,9 +166,9 @@ class SimDaemon:
         tick_interval: float = 0.05,
         log=None,
     ) -> None:
-        self.store = (
-            store if isinstance(store, ArtifactStore) else open_store(store)
-        )
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be positive")
+        super().__init__(store, socket_path, host, port, tick_interval, log)
         self.queue = AdmissionQueue(capacity=queue_capacity)
         self.ladder = ladder if ladder is not None else FidelityLadder()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -252,333 +178,117 @@ class SimDaemon:
             use_cache=use_cache,
             heartbeat_timeout=heartbeat_timeout,
         )
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
         self.max_attempts = max_attempts
         self.shard_id = shard_id
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.tick_interval = tick_interval
-        self._log_stream = log if log is not None else sys.stderr
-        self._lock = threading.RLock()
         self._done = threading.Condition(self._lock)
-        self._jobs: dict[str, JobRecord] = {}
-        self._seq = 0
-        self._drain = threading.Event()
-        self._stopped = threading.Event()
-        self._server = None
-        self._server_thread: threading.Thread | None = None
-        self._started = False
         self._drain_swept = False
         self._service_ewma = 1.0
-        self.address: tuple[str, int] | str | None = None
-        self.clock = time.monotonic
+        self._handlers.update(
+            ping=self._handle_ping,
+            status=self._handle_status,
+            wait=self._handle_wait,
+            metrics=self._handle_metrics,
+            jobs=self._handle_jobs,
+            steal=self._handle_steal,
+        )
 
     # ------------------------------------------------------------------
-    # Logging
+    # Skeleton hooks
     # ------------------------------------------------------------------
 
-    def _log(self, message: str) -> None:
-        try:
-            self._log_stream.write(
-                f"[serve +{self.clock():.3f}] {message}\n"
-            )
-            self._log_stream.flush()
-        except (OSError, ValueError):  # pragma: no cover - closed stream
-            pass
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Start workers and the socket listener (idempotent)."""
-        if self._started:
-            return
-        self._started = True
+    def _on_start(self) -> None:
         self.supervisor.start()
-        self._restore_drained_queue()
-        self._server, self.address = build_line_server(
-            self, self.socket_path, self.host, self.port
-        )
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            daemon=True,
-        )
-        self._server_thread.start()
-        self._log(
-            f"listening on {self.address} "
-            f"(workers={self.supervisor.workers}, "
-            f"queue_capacity={self.queue.capacity})"
-        )
 
-    def serve_forever(self) -> None:
-        """Run the control loop until drained (or :meth:`stop`)."""
-        self.start()
-        try:
-            while not self._stopped.is_set():
-                self._tick()
-                time.sleep(self.tick_interval)
-        finally:
-            self.shutdown()
-
-    def stop(self) -> None:
-        """Stop immediately (tests); prefer :meth:`request_drain`."""
-        self._stopped.set()
-
-    def request_drain(self) -> None:
-        """Begin a graceful drain (signal-handler safe)."""
-        if not self._drain.is_set():
-            self._drain.set()
+    def _on_stop(self) -> None:
+        self.supervisor.stop()
 
     @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
+    def _parked_name(self) -> str:
+        if self.shard_id:
+            return f"drained-queue-{self.shard_id}"
+        return DRAINED_QUEUE_FILE.removesuffix(".json")
 
-    def shutdown(self) -> None:
-        """Tear down the listener and the worker pool."""
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self.socket_path and os.path.exists(self.socket_path):
-            try:
-                os.unlink(self.socket_path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self.supervisor.stop()
-        self._log("shut down")
+    def _readmit_parked(self, submission: Submission) -> None:
+        record = self._new_record(submission)
+        self.queue.push(QueueItem(record.job_id, record.priority))
 
     # ------------------------------------------------------------------
-    # Drained-queue persistence
+    # Requests (handler threads)
     # ------------------------------------------------------------------
 
-    def _drained_queue_name(self) -> str:
-        name = (
-            f"drained-queue-{self.shard_id}"
-            if self.shard_id
-            else DRAINED_QUEUE_FILE.removesuffix(".json")
-        )
-        return name
-
-    def _persist_drained_queue(self, records: list[JobRecord]) -> None:
-        if not records:
-            return
-        name = self._drained_queue_name()
-        payload = [
-            {
-                "spec": record.spec.to_dict(),
-                "priority": record.priority,
-                "tenant": record.tenant,
-                "soft_timeout": record.soft_timeout,
-                "hard_timeout": record.hard_timeout,
-            }
-            for record in records
-        ]
-        try:
-            self.store.park_jobs(name, payload)
-        except OSError as error:
-            self._log(f"failed to persist drained queue: {error}")
-            return
-        self._log(
-            f"persisted {len(records)} queued job(s) to "
-            f"{self.store.parked_jobs_path(name)} for the next start"
-        )
-
-    def _restore_drained_queue(self) -> None:
-        name = self._drained_queue_name()
-        try:
-            entries = self.store.take_parked_jobs(name)
-        except OSError as error:
-            self._log(f"ignoring unreadable drained queue: {error}")
-            return
-        if not entries:
-            return
-        restored = 0
-        leftover = []
-        with self._lock:
-            for entry in entries:
-                try:
-                    spec = JobSpec.from_dict(entry["spec"])
-                    priority = int(entry.get("priority", 0))
-                except (KeyError, TypeError, ValueError) as error:
-                    self._log(f"dropping malformed drained entry: {error}")
-                    continue
-                record = self._new_record(spec, priority)
-                record.tenant = str(
-                    entry.get("tenant") or DEFAULT_TENANT
-                )
-                soft = entry.get("soft_timeout")
-                hard = entry.get("hard_timeout")
-                record.soft_timeout = (
-                    float(soft) if soft is not None else None
-                )
-                record.hard_timeout = (
-                    float(hard) if hard is not None else None
-                )
-                if self.queue.offer(
-                    QueueItem(job_id=record.job_id, priority=priority)
-                ):
-                    restored += 1
-                else:
-                    del self._jobs[record.job_id]
-                    leftover.append(entry)
-        if leftover:
-            try:
-                self.store.park_jobs(name, leftover)
-            except OSError as error:
-                self._log(f"failed to re-park overflow jobs: {error}")
-        if restored:
-            self._log(
-                f"re-admitted {restored} job(s) from the previous drain"
-            )
-
-    # ------------------------------------------------------------------
-    # Admission (called from handler threads)
-    # ------------------------------------------------------------------
-
-    def _new_record(self, spec: JobSpec, priority: int) -> JobRecord:
-        self._seq += 1
+    def _new_record(self, submission: Submission) -> JobRecord:
         record = JobRecord(
-            job_id=f"j-{self._seq:06d}",
-            spec=spec,
-            priority=priority,
+            job_id=self._next_id("j"),
             submitted_at=self.clock(),
+            **vars(submission),
         )
         self._jobs[record.job_id] = record
         return record
 
-    def _retry_after_estimate(self) -> float:
+    def _retry_after(self) -> float:
         """Suggested backoff for shed callers: roughly the time for the
         queue to make one slot's worth of progress."""
-        depth = self.queue.depth + len(self.supervisor.busy_jobs)
-        per_slot = self._service_ewma / max(1, self.supervisor.workers)
-        return round(max(0.5, per_slot * max(1, depth)), 3)
+        with self._lock:
+            depth = self.queue.depth + len(self.supervisor.busy_jobs)
+            per_slot = self._service_ewma / max(1, self.supervisor.workers)
+            return round(max(0.5, per_slot * max(1, depth)), 3)
 
-    def handle_request(self, message: dict) -> dict:
-        """Dispatch one protocol request (thread-safe)."""
-        op = message.get("op")
-        if op == "ping":
-            with self._lock:
-                return ok_response(
-                    pong=True,
-                    shard=self.shard_id,
-                    draining=self.draining,
-                    queue_depth=self.queue.depth,
-                )
-        if op == "submit":
-            return self._handle_submit(message)
-        if op == "status":
-            return self._handle_status(message)
-        if op == "wait":
-            return self._handle_wait(message)
-        if op == "metrics":
-            return self._handle_metrics()
-        if op == "jobs":
-            return self._handle_jobs()
-        if op == "steal":
-            return self._handle_steal(message)
-        if op == "drain":
-            self.request_drain()
-            return ok_response(draining=True)
-        return error_response(f"unknown op {op!r}")
+    def _handle_ping(self, message: dict) -> dict:
+        with self._lock:
+            return ok_response(
+                pong=True,
+                shard=self.shard_id,
+                draining=self.draining,
+                queue_depth=self.queue.depth,
+            )
 
-    def _handle_submit(self, message: dict) -> dict:
+    def _admit(self, submission: Submission, message: dict) -> dict:
         obs = get_recorder()
-        admission_started = time.perf_counter()
-        try:
-            with self._lock:
-                if self.draining:
-                    if obs.enabled:
-                        obs.count("serve.rejected_draining")
-                    return error_response("draining")
-                spec_doc = message.get("spec")
-                if not isinstance(spec_doc, dict):
-                    return error_response("submit requires a spec object")
-                if getattr(self.store, "read_only", False):
-                    # A replicated store that lost its write quorum is
-                    # read-only: accepting the job would let it run and
-                    # then fail to persist its artifact.  Shed instead;
-                    # a scrub (or recovered replica) lifts the mode.
-                    if obs.enabled:
-                        obs.count("serve.rejected_store_degraded")
-                    return error_response(
-                        "store_degraded",
-                        retry_after=self._retry_after_estimate(),
-                    )
-                try:
-                    spec = JobSpec.from_dict(spec_doc)
-                except (TypeError, ValueError) as error:
-                    if obs.enabled:
-                        obs.count("serve.rejected_bad_spec")
-                    return error_response(f"bad spec: {error}")
-                priority = int(message.get("priority", 0))
-                # Admission control first (non-destructive): a full
-                # queue sheds before the breaker consumes a probe.
-                if self.queue.full:
-                    if obs.enabled:
-                        obs.count("serve.shed")
-                        obs.event(
-                            "serve_shed",
-                            name=spec.display_name,
-                            queue_depth=self.queue.depth,
-                        )
-                    return error_response(
-                        "shed", retry_after=self._retry_after_estimate()
-                    )
-                job_hash = spec.content_hash()
-                if not self.breaker.allow(job_hash):
-                    if obs.enabled:
-                        obs.count("serve.breaker_rejected")
-                    return error_response(
-                        "breaker_open",
-                        retry_after=round(
-                            self.breaker.retry_after(job_hash), 3
-                        ),
-                    )
-                tiered = self.ladder.apply(spec, self.queue.utilization)
-                record = self._new_record(tiered.spec, priority)
-                record.tenant = str(
-                    message.get("tenant") or DEFAULT_TENANT
-                )
-                record.tier = tiered.tier
-                record.f_final_cap = tiered.f_final_cap
-                record.degraded = tiered.degraded
-                soft = message.get("soft_timeout")
-                hard = message.get("hard_timeout")
-                record.soft_timeout = (
-                    float(soft) if soft is not None else None
-                )
-                record.hard_timeout = (
-                    float(hard) if hard is not None else None
-                )
-                fence = message.get("fence")
-                record.fence = fence if isinstance(fence, dict) else None
-                # Cannot fail: fullness was checked under this lock.
-                self.queue.offer(
-                    QueueItem(job_id=record.job_id, priority=priority)
-                )
+        with self._lock:
+            refused = self._refuse_draining()
+            if refused is not None:
+                return refused
+            # Admission control first (non-destructive): a full queue
+            # sheds before the breaker consumes a probe.
+            if self.queue.full:
                 if obs.enabled:
-                    obs.count("serve.submitted")
-                    obs.count(f"serve.tier.{record.tier}")
-                    if record.degraded:
-                        obs.count("serve.degraded")
-                return ok_response(
-                    job_id=record.job_id,
-                    job_hash=record.spec.content_hash(),
-                    tier=record.tier,
-                    f_final_cap=record.f_final_cap,
-                    degraded=record.degraded,
-                    queue_depth=self.queue.depth,
+                    obs.count("serve.shed")
+                    obs.event(
+                        "serve_shed",
+                        name=submission.spec.display_name,
+                        queue_depth=self.queue.depth,
+                    )
+                return error_response("shed", retry_after=self._retry_after())
+            job_hash = submission.spec.content_hash()
+            if not self.breaker.allow(job_hash):
+                self._count("breaker_rejected")
+                return error_response(
+                    "breaker_open",
+                    retry_after=round(self.breaker.retry_after(job_hash), 3),
                 )
-        finally:
+            tiered = self.ladder.apply(submission.spec, self.queue.utilization)
+            record = self._new_record(submission)
+            record.spec = tiered.spec
+            record.tier = tiered.tier
+            record.f_final_cap = tiered.f_final_cap
+            record.degraded = tiered.degraded
+            fence = message.get("fence")
+            record.fence = fence if isinstance(fence, dict) else None
+            # Cannot fail: fullness was checked under this lock.
+            self.queue.offer(QueueItem(record.job_id, record.priority))
             if obs.enabled:
-                obs.observe(
-                    "serve.admission",
-                    time.perf_counter() - admission_started,
-                )
+                obs.count("serve.submitted")
+                obs.count(f"serve.tier.{record.tier}")
+                if record.degraded:
+                    obs.count("serve.degraded")
+            return ok_response(
+                job_id=record.job_id,
+                job_hash=record.spec.content_hash(),
+                tier=record.tier,
+                f_final_cap=record.f_final_cap,
+                degraded=record.degraded,
+                queue_depth=self.queue.depth,
+            )
 
     def _handle_status(self, message: dict) -> dict:
         job_id = message.get("job_id")
@@ -605,15 +315,9 @@ class SimDaemon:
                 self._done.wait(remaining)
             return ok_response(job=record.to_dict())
 
-    def _handle_metrics(self) -> dict:
+    def _handle_metrics(self, message: dict) -> dict:
         obs = get_recorder()
-        # Store health involves file reads (scrub status, read-only
-        # marker) — gather it before taking the state lock (DD009).
-        store_status = (
-            self.store.status()
-            if hasattr(self.store, "status")
-            else {"replicated": False}
-        )
+        store_status = self._store_status()
         with self._lock:
             statuses: dict[str, int] = {}
             tiers: dict[str, int] = {}
@@ -660,7 +364,7 @@ class SimDaemon:
                 recorder=obs.snapshot() if obs.enabled else {},
             )
 
-    def _handle_jobs(self) -> dict:
+    def _handle_jobs(self, message: dict) -> dict:
         """Compact status of every record — the router's sync primitive.
 
         One bulk response per tick instead of per-job ``status`` calls;
@@ -685,10 +389,9 @@ class SimDaemon:
         The router re-admits them on a cooler (or surviving) shard;
         here each stolen record finalizes as ``stolen`` so this shard
         never also runs it — a stolen job has exactly one owner.
-        Returns the full submission payload (spec, tenant, priority,
+        Returns the full submission document (spec, tenant, priority,
         deadlines) so nothing is lost in the move.
         """
-        obs = get_recorder()
         max_jobs = int(message.get("max_jobs", 0))
         with self._lock:
             stolen: list[dict] = []
@@ -701,15 +404,13 @@ class SimDaemon:
                     {
                         "job_id": record.job_id,
                         "job_hash": record.spec.content_hash(),
-                        "spec": record.spec.to_dict(),
-                        "priority": record.priority,
-                        "tenant": record.tenant,
-                        "soft_timeout": record.soft_timeout,
-                        "hard_timeout": record.hard_timeout,
+                        **record.entry(),
                     }
                 )
-            if obs.enabled and stolen:
-                obs.count("serve.stolen", len(stolen))
+            if stolen:
+                obs = get_recorder()
+                if obs.enabled:
+                    obs.count("serve.stolen", len(stolen))
             return ok_response(
                 shard=self.shard_id,
                 stolen=stolen,
@@ -723,16 +424,15 @@ class SimDaemon:
     def _tick(self) -> None:
         """One supervision pass; all state mutation happens here or in
         the handler threads, both under the state lock.  Blocking work
-        (drained-queue persistence) is collected under the lock and
+        (parking the drained queue) is collected under the lock and
         performed after release (DD009 discipline)."""
         with self._lock:
             self._pump_results()
             self._check_workers()
             self._enforce_hard_deadlines()
             self._dispatch()
-            to_persist = self._advance_drain()
-        if to_persist:
-            self._persist_drained_queue(to_persist)
+            to_park = self._advance_drain()
+        self._park([record.entry() for record in to_park])
 
     def _pump_results(self) -> None:
         for event in self.supervisor.poll():
@@ -802,7 +502,7 @@ class SimDaemon:
                 fence=record.fence,
             ):
                 # Raced with a worker death; try again next tick.
-                self.queue.offer(item)
+                self.queue.push(item)
                 return
             record.attempts += 1
             record.status = "dispatched"
@@ -817,9 +517,9 @@ class SimDaemon:
     def _advance_drain(self) -> list[JobRecord]:
         """Advance the drain state machine under the state lock.
 
-        Returns the records whose specs still need persisting; the
-        caller writes them to disk *after* releasing the lock so file
-        I/O never runs inside the lock region (DD009).
+        Returns the records that still need parking; the caller
+        writes them to disk *after* releasing the lock so file I/O
+        never runs inside the lock region (DD009).
         """
         queued: list[JobRecord] = []
         if not self.draining:
@@ -888,7 +588,9 @@ class SimDaemon:
         """Give a disrupted job another attempt, or finalize it.
 
         Requeued jobs resume from any checkpoint their interrupted
-        attempt persisted (the engine's normal resume path).  During a
+        attempt persisted (the engine's normal resume path), and
+        re-enter the queue even when it is full: the job was already
+        accepted, and capacity bounds new admissions only.  During a
         drain, disrupted jobs finalize as ``drained`` — their
         checkpoint survives for the next daemon start.
         """
@@ -908,14 +610,7 @@ class SimDaemon:
         record.status = "queued"
         record.started_at = None
         record.hard_deadline = None
-        if self.queue.offer(
-            QueueItem(job_id=record.job_id, priority=record.priority)
-        ):
-            if obs.enabled:
-                obs.count("serve.requeued")
-            self._log(f"{record.job_id} requeued after: {reason}")
-        else:
-            record.error = f"requeue shed (queue full) after: {reason}"
-            if obs.enabled:
-                obs.count("serve.requeue_shed")
-            self._finalize(record, "error")
+        self.queue.push(QueueItem(record.job_id, record.priority))
+        if obs.enabled:
+            obs.count("serve.requeued")
+        self._log(f"{record.job_id} requeued after: {reason}")

@@ -48,7 +48,8 @@ class AdmissionQueue:
 
     @property
     def utilization(self) -> float:
-        """Fill fraction in [0, 1] — the fidelity ladder's input."""
+        """Fill fraction — the fidelity ladder's input (above 1 only
+        while already-accepted jobs overfill the queue; see push)."""
         return len(self._heap) / self.capacity
 
     @property
@@ -64,11 +65,20 @@ class AdmissionQueue:
         """
         if self.full:
             return False
+        self.push(item)
+        return True
+
+    def push(self, item: QueueItem) -> None:
+        """Enqueue ``item`` whatever the depth.
+
+        For jobs that were already admitted (a requeue after a worker
+        death, a parked job restored at start): capacity bounds new
+        admissions, never accepted work.
+        """
         # heapq is a min-heap: negate priority so higher dequeues first;
         # the monotone sequence number breaks ties FIFO.
         heapq.heappush(self._heap, (-item.priority, self._seq, item))
         self._seq += 1
-        return True
 
     def poll(self) -> QueueItem | None:
         """Dequeue the highest-priority item, or None when empty."""
@@ -97,7 +107,7 @@ class AdmissionQueue:
         ordered = self.drain()
         keep, stolen = ordered[:-count], ordered[-count:]
         for item in keep:
-            self.offer(item)
+            self.push(item)
         return list(reversed(stolen))
 
     def __len__(self) -> int:

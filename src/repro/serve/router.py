@@ -1,10 +1,11 @@
 """The cluster router: one front door over N shard daemons.
 
 :class:`ClusterRouter` speaks the exact JSON-lines protocol of a single
-:class:`~repro.serve.daemon.SimDaemon` (it reuses the daemon's listener
-via :func:`~repro.serve.daemon.build_line_server`), so existing clients
-and CLI commands work against a sharded tier unchanged.  Behind the
-front door it adds the cluster concerns:
+:class:`~repro.serve.daemon.SimDaemon` — both are
+:class:`~repro.serve.base.LineService` subclasses sharing one listener,
+lifecycle, drain flag and parked-job I/O — so existing clients and CLI
+commands work against a sharded tier unchanged.  Behind the front door
+it adds the cluster concerns:
 
 * **Sharding** — submissions are placed by rendezvous hashing over the
   spec's content hash (:class:`~repro.serve.membership.Membership`), so
@@ -20,19 +21,19 @@ front door it adds the cluster concerns:
   checkpoint (same fidelity ledger, same final fidelity as an
   uninterrupted run), and a job whose shard died *after* completing is
   a cache hit on the new shard — never recomputed, never lost.
-* **Exactly one owner** — a cluster job is owned by one shard at a
-  time.  Failover reassigns ownership before re-submitting; work
-  stealing finalizes the job as ``stolen`` on the hot shard inside the
-  ``steal`` op itself before the router re-admits it on the cool one.
-  Ownership is backed by store leases (:mod:`repro.service.lease`):
-  every placement force-acquires an epoch-numbered lease for the
-  target shard and hands the fence token down with the submission, so
-  a ``down`` ex-owner that comes back and keeps running its orphaned
-  copy cannot overwrite the new owner's checkpoints — the store
-  rejects its stale-epoch writes
-  (:class:`~repro.faults.errors.StaleLeaseError`).  Results still land
-  in the shared content-addressed store either way, so the duplicate
-  costs compute, not correctness.
+* **Exactly one owner** — a cluster job's ``(shard_id, shard_job_id)``
+  pair is the router's only ownership record: a shard report reaches a
+  job only when it names that pair.  Failover replaces the pair when
+  the job is re-placed; work stealing and single-shard drains clear
+  ``shard_job_id`` the moment they orphan a job, so the ex-owner's
+  reports about its copy stop counting.  In the store, every placement
+  acquires an epoch-numbered lease (:mod:`repro.service.lease`) for
+  the target shard and hands the fence token down with the submission,
+  so a ``down`` ex-owner that comes back and keeps running its orphaned
+  copy cannot overwrite the new owner's checkpoints — the store rejects
+  its stale-epoch writes (:class:`~repro.faults.errors.StaleLeaseError`).
+  Results still land in the shared content-addressed store either way,
+  so the duplicate costs compute, not correctness.
 * **Store health** — when the store is replicated
   (:class:`~repro.service.replication.ReplicatedStore`), admission
   sheds with ``store_degraded`` while the store is read-only after a
@@ -51,15 +52,13 @@ front door it adds the cluster concerns:
   the cluster soak under exactly these rules.
 
 Lock discipline (DD009): the router holds its state lock only around
-table/membership mutation; every RPC, ownership-log append, and file
-write happens outside lock regions — decisions are *collected* under
-the lock and *performed* after release.
+table/membership mutation; every RPC, lease write, ownership-log
+append, and file write happens outside lock regions — decisions are
+*collected* under the lock and *performed* after release.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -67,12 +66,10 @@ from dataclasses import dataclass, field
 from ..faults.errors import QuorumLost
 from ..faults.injector import inject
 from ..obs import get_recorder
-from ..service.jobs import JobSpec
-from ..service.lease import DEFAULT_LEASE_TTL, LeaseManager
-from ..service.replication import open_store
+from ..service.lease import LeaseManager
 from ..service.store import ArtifactStore
+from .base import LineService, Submission, SubmissionError
 from .client import ServeClient, ServeError
-from .daemon import DEFAULT_TENANT, build_line_server
 from .protocol import ProtocolError, error_response, ok_response
 
 #: File (under ``<store>/serve/``) holding router-side jobs that had no
@@ -92,17 +89,16 @@ CLUSTER_FINAL = frozenset(
 _UNOWNED = ("admitting", "orphaned", "readmitting")
 
 
-@dataclass
-class ClusterJob:
-    """Router-side lifecycle of one accepted job."""
+@dataclass(kw_only=True)
+class ClusterJob(Submission):
+    """Router-side lifecycle of one accepted job.
+
+    ``(shard_id, shard_job_id)`` names the current owner's copy;
+    ``shard_job_id`` is empty while the job has no owner to hear from.
+    """
 
     cluster_id: str
     job_hash: str
-    spec_doc: dict
-    tenant: str = DEFAULT_TENANT
-    priority: int = 0
-    soft_timeout: float | None = None
-    hard_timeout: float | None = None
     shard_id: str = ""
     shard_job_id: str = ""
     status: str = "admitting"
@@ -113,6 +109,14 @@ class ClusterJob:
     @property
     def final(self) -> bool:
         return self.status in CLUSTER_FINAL
+
+    def orphan(self, reason: str) -> None:
+        """Drop the owner's copy (under the lock): its reports stop
+        reaching this job; ``shard_id`` stays so re-admission can
+        avoid that shard."""
+        self.shard_job_id = ""
+        self.status = "orphaned"
+        self.history.append(reason)
 
     def describe(self) -> dict:
         """Router-local job document (used when no shard can answer)."""
@@ -151,7 +155,7 @@ class _TokenBucket:
         return (1.0 - self.tokens) / self.rate
 
 
-class ClusterRouter:
+class ClusterRouter(LineService):
     """Protocol-compatible front door over a set of shard daemons.
 
     Args:
@@ -169,16 +173,16 @@ class ClusterRouter:
         steal_threshold: Queue-depth gap between the hottest and
             coolest shard that triggers work stealing.
         steal_batch: Maximum jobs moved per stealing pass.
-        lease_ttl: Ownership-lease lifetime in seconds; the router
-            renews held leases at one third of this period.
         scrub_interval: Seconds between background anti-entropy scrubs
             of a replicated store (None disables; ignored for a plain
             store).
         rpc_timeout: Socket timeout for router→shard RPCs.
-        socket_path / host / port: The router's own listener endpoint.
-        tick_interval: Supervision-loop period in seconds.
-        log: Writable text stream for router log lines (stderr).
+        socket_path / host / port / tick_interval / log: The router's
+            own endpoint and loop (see
+            :class:`~repro.serve.base.LineService`).
     """
+
+    kind = "cluster"
 
     def __init__(
         self,
@@ -189,7 +193,6 @@ class ClusterRouter:
         max_readmissions: int = 5,
         steal_threshold: int = 4,
         steal_batch: int = 2,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         scrub_interval: float | None = None,
         rpc_timeout: float = 30.0,
         socket_path: str | None = None,
@@ -198,191 +201,53 @@ class ClusterRouter:
         tick_interval: float = 0.1,
         log=None,
     ) -> None:
-        self.store = (
-            store if isinstance(store, ArtifactStore) else open_store(store)
-        )
+        if max_readmissions < 1:
+            raise ValueError("max_readmissions must be positive")
+        super().__init__(store, socket_path, host, port, tick_interval, log)
         self.membership = membership
-        self.leases = LeaseManager(self.store, ttl_seconds=lease_ttl)
+        self.leases = LeaseManager(self.store)
         self.scrub_interval = scrub_interval
         self.quotas = dict(quotas or {})
         self.rate_limits = dict(rate_limits or {})
-        if max_readmissions < 1:
-            raise ValueError("max_readmissions must be positive")
         self.max_readmissions = max_readmissions
         self.steal_threshold = max(1, steal_threshold)
         self.steal_batch = max(1, steal_batch)
         self.rpc_timeout = rpc_timeout
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.tick_interval = tick_interval
-        self._log_stream = log if log is not None else sys.stderr
-        self._lock = threading.RLock()
-        self._jobs: dict[str, ClusterJob] = {}
-        #: ``(shard_id, shard_job_id) -> cluster_id`` for the *current*
-        #: owner only; stale entries are removed on every reassignment,
-        #: which is what makes reports from ex-owners ignorable.
-        self._owners: dict[tuple[str, str], str] = {}
         self._buckets: dict[str, _TokenBucket] = {}
-        self._seq = 0
-        self._drain = threading.Event()
         self._drain_rpcs_sent = False
-        self._stopped = threading.Event()
-        self._server = None
-        self._server_thread: threading.Thread | None = None
-        self._started = False
-        self._last_lease_renewal = 0.0
         self._last_scrub: float | None = None
         self._scrub_thread: threading.Thread | None = None
-        self.address: tuple[str, int] | str | None = None
-        self.clock = time.monotonic
-
-    # ------------------------------------------------------------------
-    # Logging
-    # ------------------------------------------------------------------
-
-    def _log(self, message: str) -> None:
-        try:
-            self._log_stream.write(
-                f"[cluster +{self.clock():.3f}] {message}\n"
-            )
-            self._log_stream.flush()
-        except (OSError, ValueError):  # pragma: no cover - closed stream
-            pass
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the listener and restore parked jobs (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self._restore_orphans()
-        self._server, self.address = build_line_server(
-            self, self.socket_path, self.host, self.port
-        )
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            daemon=True,
-        )
-        self._server_thread.start()
-        self._log(
-            f"routing on {self.address} across "
-            f"{len(self.membership)} shard(s)"
+        self._handlers.update(
+            ping=self._handle_ping,
+            status=self._handle_status,
+            wait=self._handle_wait,
+            metrics=self._handle_metrics,
+            jobs=self._handle_jobs,
         )
 
-    def serve_forever(self) -> None:
-        """Run the supervision loop until drained (or :meth:`stop`)."""
-        self.start()
-        try:
-            while not self._stopped.is_set():
-                self._tick()
-                time.sleep(self.tick_interval)
-        finally:
-            self.shutdown()
+    # ------------------------------------------------------------------
+    # Skeleton hooks
+    # ------------------------------------------------------------------
 
-    def stop(self) -> None:
-        """Stop immediately (tests); prefer :meth:`request_drain`."""
-        self._stopped.set()
-
-    def request_drain(self) -> None:
-        """Begin a graceful cluster-wide drain (signal-handler safe)."""
-        if not self._drain.is_set():
-            self._drain.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
-    def shutdown(self) -> None:
-        """Tear down the listener; park unowned jobs for the next start."""
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self.socket_path and os.path.exists(self.socket_path):
-            try:
-                os.unlink(self.socket_path)
-            except OSError:  # pragma: no cover - already gone
-                pass
+    def _on_stop(self) -> None:
+        """Park unowned jobs for the next start (zero-lost-jobs
+        backstop for jobs that had no live owner at shutdown)."""
         with self._lock:
             orphans = [
-                job
+                job.entry()
                 for job in self._jobs.values()
                 if job.status in _UNOWNED
             ]
-        self._persist_orphans(orphans)
-        self._log("shut down")
+        self._park(orphans)
 
-    # ------------------------------------------------------------------
-    # Router-side drained-queue persistence (zero-lost-jobs backstop
-    # for jobs that had no live owner when the cluster went down)
-    # ------------------------------------------------------------------
-
-    def _orphan_name(self) -> str:
+    @property
+    def _parked_name(self) -> str:
         return ROUTER_DRAINED_FILE.removesuffix(".json")
 
-    def _persist_orphans(self, jobs: list[ClusterJob]) -> None:
-        if not jobs:
-            return
-        name = self._orphan_name()
-        payload = [
-            {
-                "spec": job.spec_doc,
-                "tenant": job.tenant,
-                "priority": job.priority,
-                "soft_timeout": job.soft_timeout,
-                "hard_timeout": job.hard_timeout,
-            }
-            for job in jobs
-        ]
-        try:
-            self.store.park_jobs(name, payload)
-        except (OSError, QuorumLost) as error:
-            self._log(f"failed to park unowned jobs: {error}")
-            return
-        self._log(
-            f"parked {len(jobs)} unowned job(s) to "
-            f"{self.store.parked_jobs_path(name)} for the next start"
-        )
-
-    def _restore_orphans(self) -> None:
-        try:
-            entries = self.store.take_parked_jobs(self._orphan_name())
-        except OSError as error:
-            self._log(f"ignoring unreadable parked-job file: {error}")
-            return
-        if not entries:
-            return
-        restored = 0
-        with self._lock:
-            for entry in entries:
-                try:
-                    spec = JobSpec.from_dict(entry["spec"])
-                except (KeyError, TypeError, ValueError) as error:
-                    self._log(f"dropping malformed parked job: {error}")
-                    continue
-                job = self._new_record(
-                    spec.content_hash(),
-                    spec.to_dict(),
-                    str(entry.get("tenant") or DEFAULT_TENANT),
-                    int(entry.get("priority", 0)),
-                )
-                soft = entry.get("soft_timeout")
-                hard = entry.get("hard_timeout")
-                job.soft_timeout = float(soft) if soft is not None else None
-                job.hard_timeout = float(hard) if hard is not None else None
-                job.status = "orphaned"
-                job.history.append("restored from parked-job file")
-                restored += 1
-        if restored:
-            self._log(
-                f"restored {restored} parked job(s); re-admitting on "
-                "the next tick"
-            )
+    def _readmit_parked(self, submission: Submission) -> None:
+        job = self._new_record(submission)
+        job.status = "orphaned"
+        job.history.append("restored from parked-job file")
 
     # ------------------------------------------------------------------
     # Shard RPC (never called with the state lock held — DD009)
@@ -440,45 +305,20 @@ class ClusterRouter:
     # Request handling (handler threads)
     # ------------------------------------------------------------------
 
-    def handle_request(self, message: dict) -> dict:
-        """Dispatch one protocol request (thread-safe)."""
-        op = message.get("op")
-        if op == "ping":
-            with self._lock:
-                return ok_response(
-                    pong=True,
-                    cluster=True,
-                    draining=self.draining,
-                    shards=self.membership.snapshot(),
-                )
-        if op == "submit":
-            return self._handle_submit(message)
-        if op == "status":
-            return self._handle_status(message)
-        if op == "wait":
-            return self._handle_wait(message)
-        if op == "metrics":
-            return self._handle_metrics()
-        if op == "jobs":
-            return self._handle_jobs()
-        if op == "drain":
-            return self._handle_drain(message)
-        return error_response(f"unknown op {op!r}")
+    def _handle_ping(self, message: dict) -> dict:
+        with self._lock:
+            return ok_response(
+                pong=True,
+                cluster=True,
+                draining=self.draining,
+                shards=self.membership.snapshot(),
+            )
 
-    def _new_record(
-        self,
-        job_hash: str,
-        spec_doc: dict,
-        tenant: str,
-        priority: int,
-    ) -> ClusterJob:
-        self._seq += 1
+    def _new_record(self, submission: Submission) -> ClusterJob:
         job = ClusterJob(
-            cluster_id=f"c-{self._seq:06d}",
-            job_hash=job_hash,
-            spec_doc=spec_doc,
-            tenant=tenant,
-            priority=priority,
+            cluster_id=self._next_id("c"),
+            job_hash=submission.spec.content_hash(),
+            **vars(submission),
         )
         self._jobs[job.cluster_id] = job
         return job
@@ -518,38 +358,18 @@ class ClusterRouter:
                 )
         return None
 
-    def _submit_message(
-        self, job: ClusterJob, fence: dict | None = None
-    ) -> dict:
-        message: dict = {
-            "op": "submit",
-            "spec": job.spec_doc,
-            "priority": job.priority,
-            "tenant": job.tenant,
-        }
-        if fence is not None:
-            message["fence"] = fence
-        if job.soft_timeout is not None:
-            message["soft_timeout"] = job.soft_timeout
-        if job.hard_timeout is not None:
-            message["hard_timeout"] = job.hard_timeout
-        return message
-
     def _grant_lease(self, job: ClusterJob, shard_id: str) -> dict | None:
-        """Force-acquire the job's ownership lease for ``shard_id``.
+        """Acquire the job's ownership lease for ``shard_id``.
 
         Called with no lock held (lease writes are store I/O).  A
-        repeat grant to the *same* shard renews the lease at the same
-        epoch; granting to a different shard bumps the epoch, which is
-        what fences out the previous owner's in-flight checkpoint
-        writes.  Returns the fence token, or None when the store
-        cannot persist the lease right now (the placement proceeds
-        unfenced rather than losing the job).
+        repeat grant to the *same* shard keeps the epoch; granting to a
+        different shard bumps it, which is what fences out the previous
+        owner's in-flight checkpoint writes.  Returns the fence token,
+        or None when the store cannot persist the lease right now (the
+        placement proceeds unfenced rather than losing the job).
         """
         try:
-            lease = self.leases.acquire(
-                job.job_hash, owner=shard_id, force=True
-            )
+            lease = self.leases.acquire(job.job_hash, shard_id)
         except (OSError, QuorumLost) as error:
             self._log(
                 f"lease grant for {job.cluster_id} on {shard_id} "
@@ -558,61 +378,24 @@ class ClusterRouter:
             return None
         return lease.fence
 
-    def _handle_submit(self, message: dict) -> dict:
+    def _admit(self, submission: Submission, message: dict) -> dict:
         obs = get_recorder()
-        admission_started = time.perf_counter()
-        try:
-            return self._admit(message)
-        finally:
-            if obs.enabled:
-                obs.observe(
-                    "cluster.admission",
-                    time.perf_counter() - admission_started,
-                )
-
-    def _admit(self, message: dict) -> dict:
-        obs = get_recorder()
-        spec_doc = message.get("spec")
-        if not isinstance(spec_doc, dict):
-            return error_response("submit requires a spec object")
-        try:
-            spec = JobSpec.from_dict(spec_doc)
-        except (TypeError, ValueError) as error:
-            return error_response(f"bad spec: {error}")
-        job_hash = spec.content_hash()
-        tenant = str(message.get("tenant") or DEFAULT_TENANT)
-        priority = int(message.get("priority", 0))
-        if getattr(self.store, "read_only", False):
-            # Replicated store lost its write quorum: every shard
-            # shares it, so placement is pointless — shed here with a
-            # distinguishable error (checked before the lock; the
-            # read-only probe is a marker-file stat).
-            if obs.enabled:
-                obs.count("cluster.rejected_store_degraded")
-            return error_response("store_degraded", retry_after=1.0)
         with self._lock:
-            if self.draining:
-                return error_response("draining")
-            rejection = self._tenant_gate(tenant)
+            refused = self._refuse_draining()
+            if refused is not None:
+                return refused
+            rejection = self._tenant_gate(submission.tenant)
             if rejection is not None:
-                if obs.enabled:
-                    obs.count(f"cluster.rejected_{rejection['error']}")
+                self._count(f"rejected_{rejection['error']}")
                 return rejection
-            targets = self.membership.route(job_hash)
-            job = self._new_record(
-                job_hash, spec.to_dict(), tenant, priority
-            )
-            soft = message.get("soft_timeout")
-            hard = message.get("hard_timeout")
-            job.soft_timeout = float(soft) if soft is not None else None
-            job.hard_timeout = float(hard) if hard is not None else None
+            job = self._new_record(submission)
+            targets = self.membership.route(job.job_hash)
         try:
             placed = self._place(job, targets, event="assigned")
         except ServeError as error:
             # A terminal per-spec rejection (breaker open): forward the
             # shard's rejection document verbatim.
-            if obs.enabled:
-                obs.count("cluster.rejected_breaker")
+            self._count("rejected_breaker")
             return dict(error.response)
         if placed is not None:
             response, shard_id = placed
@@ -620,7 +403,7 @@ class ClusterRouter:
                 obs.count("cluster.submitted")
             return ok_response(
                 job_id=job.cluster_id,
-                job_hash=job_hash,
+                job_hash=job.job_hash,
                 shard=shard_id,
                 tier=response.get("tier"),
                 f_final_cap=response.get("f_final_cap"),
@@ -633,8 +416,7 @@ class ClusterRouter:
         # record and shed explicitly rather than admit without an owner.
         with self._lock:
             self._jobs.pop(job.cluster_id, None)
-        if obs.enabled:
-            obs.count("cluster.shed")
+        self._count("shed")
         return error_response("shed", retry_after=1.0)
 
     def _place(
@@ -644,16 +426,17 @@ class ClusterRouter:
         ``(response, shard_id)`` or None when all shed/unreachable.
 
         Terminal per-spec rejections (breaker open) finalize the job
-        as ``error`` and are returned as an accepting-shaped response
-        so the caller forwards the rejection; transient conditions
-        (shed, connection failures) move on to the next preference.
+        as ``error`` and re-raise the :class:`ServeError` so the
+        caller forwards the rejection; transient conditions (shed,
+        connection failures) move on to the next preference.  Success
+        replaces the job's owner pair, which retires the previous
+        owner's copy (failover/steal re-placement).
         """
         for shard_id in targets:
             fence = self._grant_lease(job, shard_id)
+            message = {"op": "submit", **job.entry(), "fence": fence}
             try:
-                response = self._rpc(
-                    shard_id, self._submit_message(job, fence)
-                )
+                response = self._rpc(shard_id, message)
             except ServeError as error:
                 if error.error in ("shed", "draining", "store_degraded"):
                     continue
@@ -669,17 +452,10 @@ class ClusterRouter:
                 self._record_rpc_failure(shard_id)
                 continue
             with self._lock:
-                # Retire the previous ownership key (failover/steal
-                # re-placement): reports from the ex-owner about its
-                # orphaned copy must no longer reach this job.
-                self._owners.pop((job.shard_id, job.shard_job_id), None)
                 job.shard_id = shard_id
                 job.shard_job_id = str(response.get("job_id", ""))
                 job.status = "queued"
                 job.history.append(f"{event} to {shard_id}")
-                self._owners[(shard_id, job.shard_job_id)] = (
-                    job.cluster_id
-                )
                 self.membership.record_success(shard_id)
             self._record_ownership(job, event, shard_id)
             return response, shard_id
@@ -781,15 +557,9 @@ class ClusterRouter:
             # a shard-final state the cluster re-owns (e.g. ``stolen``):
             # keep waiting on the current owner.
 
-    def _handle_metrics(self) -> dict:
+    def _handle_metrics(self, message: dict) -> dict:
         obs = get_recorder()
-        # Store health reads files (scrub status, read-only marker) —
-        # collect it before taking the state lock (DD009).
-        store_status = (
-            self.store.status()
-            if hasattr(self.store, "status")
-            else {"replicated": False}
-        )
+        store_status = self._store_status()
         with self._lock:
             shard_ids = [info.shard_id for info in self.membership]
         reports: dict[str, dict | None] = {}
@@ -860,7 +630,7 @@ class ClusterRouter:
                 recorder=obs.snapshot() if obs.enabled else {},
             )
 
-    def _handle_jobs(self) -> dict:
+    def _handle_jobs(self, message: dict) -> dict:
         with self._lock:
             return ok_response(
                 cluster=True,
@@ -962,12 +732,11 @@ class ClusterRouter:
         for job in readmit:
             self._readmit(job)
         self._maybe_steal()
-        self._renew_leases()
         self._maybe_scrub()
         self._advance_drain()
 
     def _sync_leases_held(self) -> None:
-        """Refresh per-shard lease counts (called under the lock)."""
+        """Refresh per-shard owned-job counts (called under the lock)."""
         held: dict[str, int] = {}
         for job in self._jobs.values():
             if job.final or job.status in _UNOWNED or not job.shard_id:
@@ -975,29 +744,6 @@ class ClusterRouter:
             held[job.shard_id] = held.get(job.shard_id, 0) + 1
         for info in self.membership:
             info.leases_held = held.get(info.shard_id, 0)
-
-    def _renew_leases(self) -> None:
-        """Renew every held lease at a third of the TTL (no lock held
-        on entry; lease writes are store I/O)."""
-        now = self.clock()
-        if now - self._last_lease_renewal < self.leases.ttl_seconds / 3.0:
-            return
-        self._last_lease_renewal = now
-        with self._lock:
-            owned = [
-                (job.job_hash, job.shard_id)
-                for job in self._jobs.values()
-                if not job.final
-                and job.status not in _UNOWNED
-                and job.shard_id
-            ]
-        for job_hash, shard_id in owned:
-            try:
-                # Same owner → same epoch, fresh TTL (pure renewal).
-                self.leases.acquire(job_hash, owner=shard_id, force=True)
-            except (OSError, QuorumLost) as error:
-                self._log(f"lease renewal failed for {shard_id}: {error}")
-                return
 
     def _maybe_scrub(self) -> None:
         """Kick a background anti-entropy scrub when due (no lock)."""
@@ -1033,38 +779,32 @@ class ClusterRouter:
         self._scrub_thread.start()
 
     def _sync_shard_jobs(self, shard_id: str, jobs: list) -> None:
-        """Mirror shard-reported statuses (called under the lock)."""
-        for entry in jobs:
-            if not isinstance(entry, dict):
+        """Mirror a shard's report onto the jobs whose current copy it
+        describes (called under the lock)."""
+        reported = {
+            str(entry.get("job_id", "")): str(entry.get("status", ""))
+            for entry in jobs
+            if isinstance(entry, dict)
+        }
+        for job in self._jobs.values():
+            if job.final or job.shard_id != shard_id or not job.shard_job_id:
+                continue  # not this shard's current copy
+            status = reported.get(job.shard_job_id, "")
+            if status in ("", "stolen"):
+                # ``stolen`` is never final cluster-side: the steal
+                # path re-owns the job (and clears the pair).
                 continue
-            key = (shard_id, str(entry.get("job_id", "")))
-            cluster_id = self._owners.get(key)
-            if cluster_id is None:
-                continue  # ex-owner report or shard-local job
-            job = self._jobs.get(cluster_id)
-            if job is None or job.final:
+            if (
+                status == "drained"
+                and not self.draining
+                and self.membership.get(shard_id).state == "draining"
+            ):
+                # Single-shard drain: the shard checkpointed its
+                # in-flight jobs and parked; the cluster re-owns them
+                # and resumes elsewhere.
+                job.orphan(f"orphaned by draining shard {shard_id}")
                 continue
-            status = str(entry.get("status", ""))
-            if status == "stolen":
-                # The steal path re-owns the job; if we see this the
-                # reassignment already happened (the owners map entry
-                # would be gone) or is in flight — never a final state
-                # cluster-side.
-                continue
-            if status == "drained":
-                owner = self.membership.get(shard_id)
-                if owner.state == "draining" and not self.draining:
-                    # Single-shard drain: the shard checkpointed its
-                    # in-flight jobs and parked; the cluster re-owns
-                    # them and resumes elsewhere.
-                    del self._owners[key]
-                    job.status = "orphaned"
-                    job.history.append(
-                        f"orphaned by draining shard {shard_id}"
-                    )
-                    continue
-            if status:
-                job.status = status
+            job.status = status
 
     def _readmit(self, job: ClusterJob) -> None:
         """Re-admit an unowned job to a surviving shard (no lock held).
@@ -1123,38 +863,32 @@ class ClusterRouter:
         for payload in response.get("stolen", []):
             if not isinstance(payload, dict):
                 continue
-            key = (shard_id, str(payload.get("job_id", "")))
+            shard_job_id = str(payload.get("job_id", ""))
             with self._lock:
-                cluster_id = self._owners.pop(key, None)
-                job = (
-                    self._jobs.get(cluster_id)
-                    if cluster_id is not None
-                    else None
+                job = next(
+                    (
+                        job
+                        for job in self._jobs.values()
+                        if shard_job_id
+                        and job.shard_job_id == shard_job_id
+                        and job.shard_id == shard_id
+                    ),
+                    None,
                 )
                 if job is None:
                     # A shard-local job (e.g. restored from the shard's
                     # own drained queue): adopt it into the cluster so
                     # the move cannot lose it.
-                    spec_doc = payload.get("spec")
-                    if not isinstance(spec_doc, dict):
+                    try:
+                        job = self._new_record(Submission.parse(payload))
+                    except SubmissionError as error:
+                        self._log(
+                            f"dropping malformed job stolen from "
+                            f"{shard_id}: {error}"
+                        )
                         continue
-                    job = self._new_record(
-                        str(payload.get("job_hash", "")),
-                        spec_doc,
-                        str(payload.get("tenant") or DEFAULT_TENANT),
-                        int(payload.get("priority", 0)),
-                    )
-                    soft = payload.get("soft_timeout")
-                    hard = payload.get("hard_timeout")
-                    job.soft_timeout = (
-                        float(soft) if soft is not None else None
-                    )
-                    job.hard_timeout = (
-                        float(hard) if hard is not None else None
-                    )
                     job.history.append(f"adopted from {shard_id}")
-                job.status = "orphaned"
-                job.history.append(f"stolen from {shard_id}")
+                job.orphan(f"stolen from {shard_id}")
             self._readmit(job)
             moved += 1
         return moved

@@ -26,6 +26,7 @@ counters fire deterministically across worker generations.
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
 import threading
 import time
@@ -50,8 +51,14 @@ def _worker_main(
     cancel_event,
     store_root: str,
     use_cache: bool,
+    parent_pid: int,
 ) -> None:
-    """Worker process entry: beat, take tasks, execute, report."""
+    """Worker process entry: beat, take tasks, execute, report.
+
+    Exits on the ``None`` sentinel, and also as soon as an idle poll
+    finds its parent changed: a daemon that died without stopping its
+    pool (SIGKILL) must not leave workers running under init.
+    """
     # Forked workers inherit the daemon's process-global default package
     # (and every node it interned); replace it with a fresh one.  The
     # backend override is inherited too — deliberately, so a --backend
@@ -71,6 +78,8 @@ def _worker_main(
             try:
                 task = task_queue.get(timeout=0.5)
             except queue_module.Empty:
+                if os.getppid() != parent_pid:
+                    return
                 continue
             if task is None:
                 return
@@ -146,6 +155,7 @@ class _WorkerHandle:
                 self.cancel_event,
                 store_root,
                 use_cache,
+                os.getpid(),
             ),
             daemon=True,
         )

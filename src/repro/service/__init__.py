@@ -22,8 +22,8 @@ treats the *result* of that computation as a durable, reusable artifact:
   read-any-verify-repair gets, and an anti-entropy scrubber;
   :func:`open_store` picks the right class from a bare root path.
 * :mod:`repro.service.lease` — store-backed ownership leases
-  (epoch-numbered, TTL-renewed) whose fence tokens the store layer
-  checks on checkpoint writes.
+  (epoch-numbered; an owner change bumps the epoch) whose fence tokens
+  the store layer checks on checkpoint writes.
 
 Failure handling (see ``docs/SERVICE.md`` § Failure model & recovery):
 artifacts and checkpoints embed checksums verified on load; corrupt
@@ -43,7 +43,7 @@ from .jobs import (
     build_strategy,
     load_job_specs,
 )
-from .lease import Lease, LeaseHeld, LeaseManager
+from .lease import Lease, LeaseManager
 from .replication import ReplicatedStore, open_store
 from .store import ArtifactStore
 
@@ -56,7 +56,6 @@ __all__ = [
     "JobSpec",
     "JobSpecError",
     "Lease",
-    "LeaseHeld",
     "LeaseManager",
     "ReplicatedStore",
     "build_builtin_circuit",

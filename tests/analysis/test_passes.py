@@ -223,6 +223,48 @@ class TestDD009Resolution:
         )
         assert codes(source, "src/repro/serve/d.py") == []
 
+    BASE = (
+        "import threading\n"
+        "class Service:\n"
+        "    def __init__(self) -> None:\n"
+        "        self._lock = threading.RLock()\n"
+        "    def _park(self) -> None:\n"
+        "        with open('f', 'w') as fh:\n"
+        "            fh.write('x')\n"
+    )
+
+    def test_lock_created_by_a_base_class_is_a_lock(self):
+        sub = (
+            "from .base import Service\n"
+            "class D(Service):\n"
+            "    def tick(self) -> None:\n"
+            "        with self._lock:\n"
+            "            open('f')\n"
+        )
+        found = lint_modules(
+            [("src/repro/serve/base.py", self.BASE),
+             ("src/repro/serve/d.py", sub)]
+        )
+        assert [(v.rule, v.path) for v in found] == [
+            ("DD009", "src/repro/serve/d.py")
+        ]
+
+    def test_inherited_method_called_under_the_lock_is_followed(self):
+        sub = (
+            "from .base import Service\n"
+            "class D(Service):\n"
+            "    def tick(self) -> None:\n"
+            "        with self._lock:\n"
+            "            self._park()\n"
+        )
+        found = lint_modules(
+            [("src/repro/serve/base.py", self.BASE),
+             ("src/repro/serve/d.py", sub)]
+        )
+        assert [(v.rule, v.path) for v in found] == [
+            ("DD009", "src/repro/serve/base.py")
+        ]
+
 
 class TestDD010Resolution:
     def test_print_in_signal_handler_is_flagged(self):

@@ -16,11 +16,9 @@ import os
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, arm
-from repro.serve import ClusterRouter, Membership, ServeError
-from repro.serve import router as router_module
+from repro.serve import ClusterRouter, Membership
 from repro.serve.router import CLUSTER_FINAL, ROUTER_DRAINED_FILE
 from repro.service.jobs import JobSpec
-from repro.service.store import ArtifactStore
 
 from .conftest import run_daemon
 
@@ -60,138 +58,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-class FakeShard:
-    """In-memory stand-in for one shard daemon's protocol surface."""
-
-    def __init__(self, shard_id: str) -> None:
-        self.shard_id = shard_id
-        self.seq = 0
-        self.jobs: dict[str, dict] = {}
-        self.down = False
-        self.reject: str | None = None
-        self.draining = False
-        self.submissions: list[dict] = []
-
-    def handle(self, message: dict) -> dict:
-        if self.down:
-            raise ConnectionRefusedError(f"{self.shard_id} is down")
-        op = message["op"]
-        if op == "submit":
-            self.submissions.append(message)
-            if self.reject is not None:
-                response: dict = {"ok": False, "error": self.reject}
-                if self.reject == "breaker_open":
-                    response["retry_after"] = 9.0
-                return response
-            self.seq += 1
-            job_id = f"j-{self.seq:06d}"
-            self.jobs[job_id] = {
-                "job_id": job_id,
-                "status": "queued",
-                "spec": message["spec"],
-                "tenant": message.get("tenant", "default"),
-                "priority": message.get("priority", 0),
-            }
-            return {
-                "ok": True,
-                "job_id": job_id,
-                "tier": 0,
-                "f_final_cap": None,
-                "degraded": False,
-                "queue_depth": len(self.jobs),
-            }
-        if op == "jobs":
-            return {
-                "ok": True,
-                "shard": self.shard_id,
-                "jobs": [
-                    {"job_id": job["job_id"], "status": job["status"]}
-                    for job in self.jobs.values()
-                ],
-            }
-        if op == "steal":
-            stolen = []
-            for job in self.jobs.values():
-                if len(stolen) >= int(message["max_jobs"]):
-                    break
-                if job["status"] != "queued":
-                    continue
-                job["status"] = "stolen"
-                stolen.append(
-                    {
-                        "job_id": job["job_id"],
-                        "job_hash": "",
-                        "spec": job["spec"],
-                        "tenant": job["tenant"],
-                        "priority": job["priority"],
-                        "soft_timeout": None,
-                        "hard_timeout": None,
-                    }
-                )
-            return {"ok": True, "stolen": stolen, "queue_depth": 0}
-        if op == "drain":
-            self.draining = True
-            return {"ok": True, "draining": True}
-        if op == "metrics":
-            return {
-                "ok": True,
-                "queue_depth": len(self.jobs),
-                "queue_capacity": 8,
-                "running": 0,
-                "breaker_open": 0,
-                "ladder_tier": 0,
-                "utilization": 0.25,
-                "tenants": {},
-            }
-        if op in ("status", "wait"):
-            job = self.jobs.get(str(message.get("job_id")))
-            if job is None:
-                return {"ok": False, "error": "unknown job"}
-            return {"ok": True, "job": dict(job)}
-        raise AssertionError(f"fake shard got unexpected op {op!r}")
-
-
-class FakeTransport:
-    """Drop-in for ServeClient: routes requests to FakeShard objects."""
-
-    registry: dict[str, FakeShard] = {}
-
-    def __init__(self, socket_path=None, host="", port=0, timeout=None):
-        self.socket_path = socket_path
-
-    def request(self, message: dict, idempotent: bool = False) -> dict:
-        response = FakeTransport.registry[self.socket_path].handle(message)
-        if not response.get("ok"):
-            raise ServeError(response)
-        return response
-
-
-@pytest.fixture
-def fake_cluster(tmp_path, monkeypatch):
-    """Build a router over in-memory fake shards."""
-
-    def build(shard_ids, fail_threshold=2, **router_kwargs):
-        monkeypatch.setattr(router_module, "ServeClient", FakeTransport)
-        shards = {sid: FakeShard(sid) for sid in shard_ids}
-        FakeTransport.registry = {
-            f"/fake/{sid}.sock": shard for sid, shard in shards.items()
-        }
-        membership = Membership(
-            [(sid, f"/fake/{sid}.sock") for sid in shard_ids],
-            fail_threshold=fail_threshold,
-        )
-        router = ClusterRouter(
-            ArtifactStore(str(tmp_path / "store")),
-            membership,
-            log=io.StringIO(),
-            **router_kwargs,
-        )
-        return router, shards
-
-    yield build
-    FakeTransport.registry = {}
 
 
 class TestMembership:
@@ -393,8 +259,11 @@ class TestFailover:
             assert job.readmissions == 1
             assert job.history[-1] == "readmitted to s1"
         assert router.membership.get("s0").state == "down"
-        # The owners map points every moved job at s1 only.
-        assert all(key[0] == "s1" for key in router._owners)
+        # Each moved job's owner pair names its new copy on s1, so only
+        # s1's reports can reach it.
+        assert {router._jobs[cid].shard_job_id for cid in ids} == set(
+            shards["s1"].jobs
+        )
         events = router.store.read_ownership_log()
         assert (
             sum(1 for e in events if e["event"] == "readmitted") == 3
@@ -588,7 +457,7 @@ class TestOrphanPersistence:
             ),
             log=io.StringIO(),
         )
-        successor._restore_orphans()
+        successor._restore_parked()
         assert not os.path.exists(path)
         (job,) = successor._jobs.values()
         assert job.status == "orphaned"
@@ -599,11 +468,11 @@ class TestOrphanPersistence:
 
     def test_restore_tolerates_garbage_files(self, fake_cluster):
         router, _ = fake_cluster(["s0"])
-        path = router.store.parked_jobs_path(router._orphan_name())
+        path = router.store.parked_jobs_path(router._parked_name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        router._restore_orphans()  # must not raise
+        router._restore_parked()  # must not raise
         assert router._jobs == {}
 
 

@@ -8,8 +8,14 @@ Unix socket, control loop — via the ``run_daemon`` helper.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
 
@@ -142,9 +148,24 @@ class TestDrainWithoutWorkers:
 
         # A fresh daemon on the same store re-admits the parked jobs.
         successor = SimDaemon(store, queue_capacity=8)
-        successor._restore_drained_queue()
+        successor._restore_parked()
         assert successor.queue.depth == 2
         assert not os.path.exists(path)
+
+    def test_restore_readmits_more_jobs_than_the_queue_holds(self, store):
+        """Parked jobs were accepted once: all of them come back, and
+        none is left in a file the next drain would overwrite."""
+        parked = [_submit_message(_spec(seed=seed)) for seed in range(3)]
+        store.park_jobs("drained-queue", parked)
+        daemon = SimDaemon(store, queue_capacity=1)
+        daemon._restore_parked()
+        assert daemon.queue.depth == 3
+        assert not os.path.exists(store.parked_jobs_path("drained-queue"))
+        daemon.request_drain()
+        daemon._tick()
+        path = os.path.join(store.root, "serve", DRAINED_QUEUE_FILE)
+        with open(path, encoding="utf-8") as handle:
+            assert len(json.load(handle)) == 3
 
     def test_restore_tolerates_garbage_files(self, store):
         path = os.path.join(store.root, "serve", DRAINED_QUEUE_FILE)
@@ -152,7 +173,7 @@ class TestDrainWithoutWorkers:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
         daemon = SimDaemon(store)
-        daemon._restore_drained_queue()  # must not raise
+        daemon._restore_parked()  # must not raise
         assert daemon.queue.depth == 0
 
 
@@ -328,6 +349,107 @@ class TestKilledWorker:
             assert store.load_result(job["job_hash"])["stats"] == (
                 job["result"]["stats"]
             )
+
+
+    def test_requeued_job_reenters_a_full_queue(self, store, tmp_path):
+        """Capacity bounds new admissions only: a worker dies holding
+        an accepted job while the queue is full, and the job still
+        completes.  Ticks are driven by hand so the queue is full
+        exactly when the death is noticed."""
+        arm(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="engine.job", kind="kill", max_hits=1
+                    ),
+                ),
+                state_dir=str(tmp_path / "counters"),
+            )
+        )
+        daemon = SimDaemon(
+            store, workers=1, queue_capacity=1, log=io.StringIO()
+        )
+        daemon.supervisor.start()
+        try:
+            first = daemon.handle_request(_submit_message(_spec()))
+            daemon._tick()  # dispatched; the worker dies on it
+            second = daemon.handle_request(_submit_message(_spec()))
+            assert second["ok"] and daemon.queue.full
+            records = [daemon._jobs[first["job_id"]]]
+            records.append(daemon._jobs[second["job_id"]])
+            deadline = time.monotonic() + 120.0
+            while not all(record.final for record in records):
+                assert time.monotonic() < deadline, "jobs never finished"
+                daemon._tick()
+                time.sleep(0.02)
+        finally:
+            daemon.shutdown()
+        assert [record.status for record in records] == [
+            "completed",
+            "completed",
+        ], records[0].error
+        assert records[0].attempts == 2
+        assert daemon.supervisor.restarts >= 1
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process states from /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_daemon_is_killed(self, store):
+        """A SIGKILLed daemon cannot stop its pool; each worker must
+        notice its parent changed and exit on its own."""
+        socket_dir = tempfile.mkdtemp(prefix="serve-test-")
+        script = (
+            "import sys\n"
+            "from repro.serve import SimDaemon\n"
+            "daemon = SimDaemon(sys.argv[1], workers=2, "
+            "socket_path=sys.argv[2])\n"
+            "daemon.start()\n"
+            "handles = daemon.supervisor._handles.values()\n"
+            "print(*[h.process.pid for h in handles], flush=True)\n"
+            "daemon.serve_forever()\n"
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                script,
+                store.root,
+                os.path.join(socket_dir, "serve.sock"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        try:
+            workers = [int(pid) for pid in process.stdout.readline().split()]
+            assert len(workers) == 2
+            assert all(_running(pid) for pid in workers)
+        finally:
+            process.send_signal(signal.SIGKILL)
+            process.wait(30.0)
+            process.stdout.close()
+        # Workers poll every 0.5 s; allow a generous margin for load.
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in workers):
+            if time.monotonic() >= deadline:
+                for pid in workers:
+                    if _running(pid):
+                        os.kill(pid, signal.SIGKILL)
+                pytest.fail("pool workers outlived their daemon")
+            time.sleep(0.1)
 
 
 class TestDeadlines:
